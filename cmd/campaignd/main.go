@@ -90,8 +90,13 @@ func run() error {
 	return serve(svc, hub, store, *httpAddr)
 }
 
-// serve runs the HTTP front end until SIGINT/SIGTERM, then drains.
+// serve runs the HTTP front end until SIGINT/SIGTERM, then drains. The
+// signal handler is installed before the listen address is announced, so
+// a signal sent as soon as the address appears is drained, not fatal.
 func serve(svc *campaign.Service, hub *telemetry.Hub, store *resultstore.Store, addr string) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	srv, err := telemetry.Serve(addr, svc.Handler())
 	if err != nil {
 		return err
@@ -99,8 +104,6 @@ func serve(svc *campaign.Service, hub *telemetry.Hub, store *resultstore.Store, 
 	hub.Logger().Info("campaignd listening", "addr", srv.Addr)
 	fmt.Fprintf(os.Stderr, "campaignd: serving campaigns at http://%s (POST /campaigns; ops at /metrics /spans /healthz)\n", srv.Addr)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "campaignd: draining (in-flight campaigns finish, queued ones drop)")
 	svc.Close()

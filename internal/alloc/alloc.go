@@ -10,7 +10,9 @@
 // The allocator is a size-class segregated free-list over a bump region,
 // deterministic and O(1), with live-allocation tracking used by the
 // simulator to derive correctly-bounded capabilities for stored pointers
-// and to detect use-after-free in the temporal-safety experiments.
+// and to detect use-after-free in the temporal-safety experiments. The live
+// set is one sorted interval table searched by binary search; Owner, the
+// lookup behind every heap capability dereference, never hashes.
 package alloc
 
 import (
@@ -34,6 +36,24 @@ type Range struct {
 	Base, Size uint64
 }
 
+// Shadow observes every operation on the heap's live set after it
+// completes. internal/check installs a lockstep reference model behind it;
+// a nil shadow costs one pointer test per operation and nothing else.
+// Shadows must not call back into the heap beyond LiveCount and Stats.
+type Shadow interface {
+	// Commit reports a block made live at base with the given usable size
+	// (a hybrid free-list alias re-commits a block that is already live).
+	Commit(base, size uint64)
+	// Free reports a completed Free of addr and whether addr was a live
+	// allocation base (a tolerated hybrid double free and an invalid free
+	// leave the live set alone).
+	Free(addr uint64, live bool)
+	// Truncate reports a completed Truncate and whether it applied.
+	Truncate(base, size uint64, applied bool)
+	// Owner reports one completed lookup (memo fast path included).
+	Owner(addr, base, size uint64, ok bool)
+}
+
 // Heap is a simulated heap over [base, limit).
 type Heap struct {
 	abi   abi.ABI
@@ -51,17 +71,18 @@ type Heap struct {
 
 	// free lists keyed by rounded size class.
 	free map[uint64][]uint64
-	// live maps allocation base -> usable (rounded) size.
-	live map[uint64]uint64
-	// sorted is the ordered index of live allocation bases, maintained
-	// incrementally so Owner lookups are O(log n).
-	sorted []uint64
+	// bases and sizes are the live set as one interval table: the live
+	// allocation bases in ascending order and, at the same position, each
+	// one's usable (rounded, possibly truncated) size. Every lookup is a
+	// binary search over bases (find).
+	bases, sizes []uint64
 	// ownBase/ownSize memoise the last positive Owner result. Live ranges
 	// are disjoint and an allocation cannot appear inside another live one,
-	// so the memo stays valid until a Free or Truncate shrinks the live set
-	// (both clear it); repeated lookups inside one allocation — the dominant
+	// so the memo stays valid until a Free, a Truncate or an alias
+	// re-commit changes a live range (all three clear it); repeated lookups inside one allocation — the dominant
 	// pattern on the capability-derivation hot path — cost two compares.
 	ownBase, ownSize uint64
+	shadow           Shadow
 
 	// Statistics.
 	allocs        uint64
@@ -80,8 +101,32 @@ func New(a abi.ABI, base, size uint64) *Heap {
 		limit: base + size,
 		brk:   base,
 		free:  make(map[uint64][]uint64),
-		live:  make(map[uint64]uint64),
 	}
+}
+
+// find returns the position of the last live base at or below addr, or -1
+// when every live base lies above it. A hand-written search: sort.Search's
+// closure call per probe costs more than the comparison it makes.
+func (h *Heap) find(addr uint64) int {
+	lo, hi := 0, len(h.bases)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.bases[mid] <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// indexOf returns the position of the live allocation based exactly at
+// addr, or -1.
+func (h *Heap) indexOf(addr uint64) int {
+	if i := h.find(addr); i >= 0 && h.bases[i] == addr {
+		return i
+	}
+	return -1
 }
 
 // roundSize converts a requested size into the allocated size class:
@@ -121,7 +166,7 @@ func (h *Heap) Alloc(size uint64) (uint64, error) {
 	}
 	align := h.alignFor(rsize)
 	addr := (h.brk + headerSize + align - 1) &^ (align - 1)
-	if addr+rsize > h.limit {
+	if addr < h.brk || addr > h.limit || rsize > h.limit-addr { // overflow-safe addr+rsize > limit
 		return 0, fmt.Errorf("alloc: out of simulated heap (%d bytes requested, brk %#x, limit %#x)", size, h.brk, h.limit)
 	}
 	h.brk = addr + rsize
@@ -134,17 +179,25 @@ func (h *Heap) commit(addr, size, rsize uint64) {
 	// twice; the second pop then re-commits a block that is already live
 	// (the aliasing the fastbin-dup attack exploits). Keep the index and
 	// byte accounting single-entry in that case.
-	if _, aliased := h.live[addr]; !aliased {
-		i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] >= addr })
-		h.sorted = append(h.sorted, 0)
-		copy(h.sorted[i+1:], h.sorted[i:])
-		h.sorted[i] = addr
+	if i := h.find(addr); i >= 0 && h.bases[i] == addr {
+		h.sizes[i] = rsize
+		h.ownBase, h.ownSize = 0, 0 // the memo may hold the old size
+	} else {
+		i++
+		h.bases = append(h.bases, 0)
+		copy(h.bases[i+1:], h.bases[i:])
+		h.bases[i] = addr
+		h.sizes = append(h.sizes, 0)
+		copy(h.sizes[i+1:], h.sizes[i:])
+		h.sizes[i] = rsize
 		h.liveBytes += rsize
 		if h.liveBytes > h.peakLiveBytes {
 			h.peakLiveBytes = h.liveBytes
 		}
 	}
-	h.live[addr] = rsize
+	if h.shadow != nil {
+		h.shadow.Commit(addr, rsize)
+	}
 	h.allocs++
 	h.requested += size
 	h.rounded += rsize
@@ -158,8 +211,11 @@ func (h *Heap) commit(addr, size, rsize uint64) {
 // like glibc's classic fastbin-dup — two later allocations of the size
 // class then alias the same memory.
 func (h *Heap) Free(addr uint64) error {
-	rsize, ok := h.live[addr]
-	if !ok {
+	i := h.indexOf(addr)
+	if h.shadow != nil {
+		defer h.shadow.Free(addr, i >= 0)
+	}
+	if i < 0 {
 		if !h.abi.PointersAreCapabilities() {
 			for size, fl := range h.free {
 				for _, a := range fl {
@@ -173,11 +229,10 @@ func (h *Heap) Free(addr uint64) error {
 		}
 		return fmt.Errorf("alloc: invalid free of %#x", addr)
 	}
-	delete(h.live, addr)
+	rsize := h.sizes[i]
+	h.bases = append(h.bases[:i], h.bases[i+1:]...)
+	h.sizes = append(h.sizes[:i], h.sizes[i+1:]...)
 	h.ownBase, h.ownSize = 0, 0
-	if i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] >= addr }); i < len(h.sorted) && h.sorted[i] == addr {
-		h.sorted = append(h.sorted[:i], h.sorted[i+1:]...)
-	}
 	h.frees++
 	h.liveBytes -= rsize
 	if h.Quarantine {
@@ -208,17 +263,16 @@ func (h *Heap) DrainQuarantine() []Range {
 }
 
 // LiveCount returns the number of live allocations.
-func (h *Heap) LiveCount() int { return len(h.sorted) }
+func (h *Heap) LiveCount() int { return len(h.bases) }
 
 // LiveRange returns the i-th live allocation in base-address order. It is
 // the fault injector's deterministic victim-selection primitive: picking an
 // index from a seeded RNG always lands on the same allocation.
 func (h *Heap) LiveRange(i int) Range {
-	if i < 0 || i >= len(h.sorted) {
+	if i < 0 || i >= len(h.bases) {
 		return Range{}
 	}
-	base := h.sorted[i]
-	return Range{Base: base, Size: h.live[base]}
+	return Range{Base: h.bases[i], Size: h.sizes[i]}
 }
 
 // Truncate shrinks the live allocation at base to newSize bytes (metadata
@@ -226,46 +280,54 @@ func (h *Heap) LiveRange(i int) Range {
 // the new size now fail their spatial check). newSize must be smaller than
 // the current size and positive; Truncate reports whether it applied.
 func (h *Heap) Truncate(base, newSize uint64) bool {
-	size, ok := h.live[base]
-	if !ok || newSize == 0 || newSize >= size {
-		return false
+	i := h.indexOf(base)
+	applied := i >= 0 && newSize != 0 && newSize < h.sizes[i]
+	if applied {
+		h.liveBytes -= h.sizes[i] - newSize
+		h.sizes[i] = newSize
+		h.ownBase, h.ownSize = 0, 0
 	}
-	h.live[base] = newSize
-	h.liveBytes -= size - newSize
-	h.ownBase, h.ownSize = 0, 0
-	return true
+	if h.shadow != nil {
+		h.shadow.Truncate(base, newSize, applied)
+	}
+	return applied
 }
 
 // SizeOf returns the usable size of the live allocation at addr, or false
 // if addr is not a live allocation base.
 func (h *Heap) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := h.live[addr]
-	return s, ok
+	if i := h.indexOf(addr); i >= 0 {
+		return h.sizes[i], true
+	}
+	return 0, false
 }
 
-// Owner returns the allocation base and size containing addr, using the
-// maintained sorted index (O(log n)). The machine uses it to derive
+// Owner returns the allocation base and size containing addr, by binary
+// search of the interval table (O(log n)). The machine uses it to derive
 // bounded capabilities for interior pointers and for spatial checks.
 func (h *Heap) Owner(addr uint64) (base, size uint64, ok bool) {
 	if addr-h.ownBase < h.ownSize {
-		return h.ownBase, h.ownSize, true
+		base, size, ok = h.ownBase, h.ownSize, true
+	} else if i := h.find(addr); i >= 0 && addr-h.bases[i] < h.sizes[i] {
+		base, size, ok = h.bases[i], h.sizes[i], true
+		h.ownBase, h.ownSize = base, size
 	}
-	if s, o := h.live[addr]; o {
-		h.ownBase, h.ownSize = addr, s
-		return addr, s, true
+	if h.shadow != nil {
+		h.shadow.Owner(addr, base, size, ok)
 	}
-	i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] > addr })
-	if i == 0 {
-		return 0, 0, false
-	}
-	b := h.sorted[i-1]
-	s := h.live[b]
-	if addr < b+s {
-		h.ownBase, h.ownSize = b, s
-		return b, s, true
-	}
-	return 0, 0, false
+	return base, size, ok
 }
+
+// SetShadow installs (or, with nil, removes) the heap's lockstep observer
+// and returns the previous one.
+func (h *Heap) SetShadow(s Shadow) Shadow {
+	prev := h.shadow
+	h.shadow = s
+	return prev
+}
+
+// Shadowed reports whether a lockstep observer is installed.
+func (h *Heap) Shadowed() bool { return h.shadow != nil }
 
 // Stats describes allocator activity and footprint.
 type Stats struct {

@@ -289,3 +289,77 @@ func TestLiveRangeDeterministicOrder(t *testing.T) {
 	}
 	_ = bases
 }
+
+// TestOwnerAddressSpaceEdges pins Owner at both ends of the 64-bit space,
+// where a search for the first base above addr+1 would wrap: Owner(0) and
+// Owner(^uint64(0)) must answer from the allocations actually there.
+func TestOwnerAddressSpaceEdges(t *testing.T) {
+	for _, a := range []abi.ABI{abi.Hybrid, abi.Purecap} {
+		// A heap based at address 0: the first block owns address 0.
+		low := New(a, 0, 1<<20)
+		p, err := low.Alloc(64)
+		if err != nil || p != 0 {
+			t.Fatalf("%v: first block at %#x (%v), want 0", a, p, err)
+		}
+		if base, size, ok := low.Owner(0); !ok || base != 0 || size < 64 {
+			t.Fatalf("%v: Owner(0) = %#x %d %v", a, base, size, ok)
+		}
+		if _, _, ok := low.Owner(^uint64(0)); ok {
+			t.Fatalf("%v: Owner(max) found a block in a low heap", a)
+		}
+		// A heap ending just below the top of the space.
+		top := New(a, ^uint64(0)-(1<<20)+1, 1<<20-16)
+		var last uint64
+		for {
+			q, err := top.Alloc(4096)
+			if err != nil {
+				break
+			}
+			last = q
+		}
+		base, size, ok := top.Owner(last + 1)
+		if !ok || base != last {
+			t.Fatalf("%v: Owner(last+1) = %#x %v, want %#x", a, base, ok, last)
+		}
+		if _, _, ok := top.Owner(^uint64(0)); ok {
+			t.Fatalf("%v: Owner(max) claimed by a block ending at %#x", a, base+size)
+		}
+		if _, _, ok := top.Owner(0); ok {
+			t.Fatalf("%v: Owner(0) found a block in a top-of-space heap", a)
+		}
+		// With the memo pointing at the last block, the edges still miss.
+		top.Owner(last)
+		if _, _, ok := top.Owner(^uint64(0)); ok {
+			t.Fatalf("%v: memo answered Owner(max)", a)
+		}
+	}
+}
+
+// TestAliasRecommitRefreshesOwner covers a truncated block re-committed
+// through the hybrid double-free alias: the re-commit restores the class
+// size, and Owner must report it rather than the truncated size it
+// memoised before.
+func TestAliasRecommitRefreshesOwner(t *testing.T) {
+	h := newHeap(abi.Hybrid)
+	p, _ := h.Alloc(64)
+	h.Free(p)
+	h.Free(p) // tolerated: the free list now holds p twice
+	if q, _ := h.Alloc(64); q != p {
+		t.Fatalf("first pop = %#x, want %#x", q, p)
+	}
+	if !h.Truncate(p, 32) {
+		t.Fatal("truncate refused")
+	}
+	if _, size, ok := h.Owner(p + 8); !ok || size != 32 {
+		t.Fatalf("Owner after truncate = %d %v, want 32", size, ok)
+	}
+	if q, _ := h.Alloc(64); q != p {
+		t.Fatalf("second pop = %#x, want the alias %#x", q, p)
+	}
+	if _, size, ok := h.Owner(p + 8); !ok || size != 64 {
+		t.Fatalf("Owner after alias re-commit = %d %v, want 64", size, ok)
+	}
+	if h.LiveCount() != 1 {
+		t.Fatalf("LiveCount = %d, want 1", h.LiveCount())
+	}
+}

@@ -14,12 +14,9 @@ import (
 // per way — so victim-choice divergence is caught on the very access that
 // causes it, not when the wrong line is later evicted).
 type CacheChecker struct {
-	name string
-	opt  *cache.Cache
-	ref  *refmodel.Cache
-	col  *Collector
-	ring opRing
-	dead bool
+	stream
+	opt *cache.Cache
+	ref *refmodel.Cache
 	// Reused snapshot buffers keep the per-access compare allocation-free.
 	optBuf, refBuf []cache.LineState
 }
@@ -33,10 +30,9 @@ func AttachCache(col *Collector, c *cache.Cache) *CacheChecker {
 		return nil
 	}
 	k := &CacheChecker{
-		name: c.Config().Name,
-		opt:  c,
-		ref:  refmodel.NewCache(c.Config()),
-		col:  col,
+		stream: stream{name: c.Config().Name, col: col},
+		opt:    c,
+		ref:    refmodel.NewCache(c.Config()),
 	}
 	c.SetShadow(k)
 	return k
@@ -44,15 +40,13 @@ func AttachCache(col *Collector, c *cache.Cache) *CacheChecker {
 
 // Access implements cache.Shadow.
 func (k *CacheChecker) Access(addr uint64, write bool, res cache.Result) {
-	if k.dead {
-		return
-	}
-	k.col.operation()
 	kind := uint8(opCacheRead)
 	if write {
 		kind = opCacheWrite
 	}
-	k.ring.push(traceOp{kind: kind, a: addr})
+	if !k.step(traceOp{kind: kind, a: addr}) {
+		return
+	}
 	refRes := k.ref.Access(addr, write)
 	if refRes != res {
 		k.diverge(fmt.Sprintf("result: optimized %+v, reference %+v", res, refRes))
@@ -63,11 +57,9 @@ func (k *CacheChecker) Access(addr uint64, write bool, res cache.Result) {
 
 // InvalidateAll implements cache.Shadow.
 func (k *CacheChecker) InvalidateAll(writeBacks int) {
-	if k.dead {
+	if !k.step(traceOp{kind: opCacheFlush}) {
 		return
 	}
-	k.col.operation()
-	k.ring.push(traceOp{kind: opCacheFlush})
 	refWB := k.ref.InvalidateAll()
 	if refWB != writeBacks {
 		k.diverge(fmt.Sprintf("write-backs: optimized %d, reference %d", writeBacks, refWB))
@@ -90,20 +82,4 @@ func (k *CacheChecker) compareState(set int) {
 			return
 		}
 	}
-}
-
-// Dead reports whether the checker has stopped after a divergence.
-func (k *CacheChecker) Dead() bool { return k.dead }
-
-// diverge reports the mismatch; the diverging operation is the one last
-// pushed onto the trace ring.
-func (k *CacheChecker) diverge(detail string) {
-	k.dead = true
-	k.col.record(&Divergence{
-		Component: k.name,
-		Step:      k.ring.n,
-		Op:        k.ring.ops[(k.ring.n-1)%traceDepth].String(),
-		Detail:    detail,
-		Trace:     k.ring.snapshot(),
-	})
 }

@@ -1,13 +1,15 @@
 // Package check is the lockstep reference-model harness: it runs the
 // deliberately naive models in internal/refmodel side by side with the
-// optimized cache, TLB, and bounds-compression implementations and diffs
-// them after every state-changing operation — outcome, stats deltas, LRU
-// victim choice, write-back addresses, and full per-set/per-entry state.
+// optimized cache, TLB, heap owner index, simulated memory, and
+// bounds-compression implementations and diffs them after every operation
+// — outcome, stats deltas, LRU victim choice, write-back addresses, full
+// per-set/per-entry state, owner lookups, and every value read back.
 //
 // The first divergence a checker sees is reported with a replayable tail
 // of the operations that led to it; the checker then goes dead (a diverged
 // shadow would only produce cascading noise). Checking is attached per
-// component (AttachCache/AttachTLB, or AttachMachine for a whole core) and
+// component (AttachCache/AttachTLB/AttachHeap/AttachMemory, or
+// AttachMachine for a whole core) and
 // aggregated in a Collector, which also feeds the check_accesses and
 // check_divergences telemetry counters.
 package check
@@ -37,13 +39,23 @@ const (
 	opTLBLookup
 	opTLBInsert
 	opTLBFlush
+	opHeapCommit
+	opHeapFree
+	opHeapTruncate
+	opHeapOwner
+	opMemRead
+	opMemWrite
+	opMemReadCap
+	opMemWriteCap
+	opMemTagAt
+	opMemClearTag
 )
 
 // traceOp is one recorded operation, compact enough to push on the hot
 // path and formatted only when a divergence is reported.
 type traceOp struct {
 	kind uint8
-	a    uint64
+	a, b uint64
 }
 
 func (o traceOp) String() string {
@@ -60,6 +72,26 @@ func (o traceOp) String() string {
 		return fmt.Sprintf("insert vpn %#x", o.a)
 	case opTLBFlush:
 		return "invalidate-all"
+	case opHeapCommit:
+		return fmt.Sprintf("commit base %#x size %#x", o.a, o.b)
+	case opHeapFree:
+		return fmt.Sprintf("free %#x", o.a)
+	case opHeapTruncate:
+		return fmt.Sprintf("truncate base %#x to %#x", o.a, o.b)
+	case opHeapOwner:
+		return fmt.Sprintf("owner %#x", o.a)
+	case opMemRead:
+		return fmt.Sprintf("read %#x size %d", o.a, o.b)
+	case opMemWrite:
+		return fmt.Sprintf("write %#x size %d", o.a, o.b)
+	case opMemReadCap:
+		return fmt.Sprintf("read-cap %#x", o.a)
+	case opMemWriteCap:
+		return fmt.Sprintf("write-cap %#x tag %d", o.a, o.b)
+	case opMemTagAt:
+		return fmt.Sprintf("tag-at %#x", o.a)
+	case opMemClearTag:
+		return fmt.Sprintf("clear-tag %#x", o.a)
 	default:
 		return fmt.Sprintf("op(%d) %#x", o.kind, o.a)
 	}
@@ -87,6 +119,42 @@ func (r *opRing) snapshot() []string {
 		out = append(out, r.ops[i%traceDepth].String())
 	}
 	return out
+}
+
+// stream is the state every component checker shares: its collector, the
+// trace of its recent operations, and whether it has died on a divergence.
+type stream struct {
+	name string
+	col  *Collector
+	ring opRing
+	dead bool
+}
+
+// step records one checked operation; it reports false once the checker
+// is dead, in which case the caller skips the comparison.
+func (s *stream) step(o traceOp) bool {
+	if s.dead {
+		return false
+	}
+	s.col.operation()
+	s.ring.push(o)
+	return true
+}
+
+// Dead reports whether the checker has stopped after a divergence.
+func (s *stream) Dead() bool { return s.dead }
+
+// diverge reports the mismatch; the diverging operation is the one last
+// pushed onto the trace ring.
+func (s *stream) diverge(detail string) {
+	s.dead = true
+	s.col.record(&Divergence{
+		Component: s.name,
+		Step:      s.ring.n,
+		Op:        s.ring.ops[(s.ring.n-1)%traceDepth].String(),
+		Detail:    detail,
+		Trace:     s.ring.snapshot(),
+	})
 }
 
 // Divergence is one lockstep mismatch: the first operation on which a
@@ -166,7 +234,7 @@ func (c *Collector) record(d *Divergence) {
 // Report is a point-in-time summary of a collector's lockstep results.
 type Report struct {
 	// Accesses counts checked operations (cache accesses, TLB operations,
-	// bounds compressions).
+	// heap and memory operations, bounds compressions).
 	Accesses uint64
 	// Divergences counts operations on which optimized and reference
 	// models disagreed.

@@ -97,7 +97,7 @@ func TestCacheLockstepScripts(t *testing.T) {
 	}
 }
 
-// TestTLBLockstepScripts drives the optimized TLB (memo + map index) against
+// TestTLBLockstepScripts drives the optimized TLB (memo + hashed index) against
 // the linear-scan reference through memo-eviction and refill patterns.
 func TestTLBLockstepScripts(t *testing.T) {
 	page := func(n uint64) uint64 { return n << 12 }

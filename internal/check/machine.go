@@ -3,11 +3,12 @@ package check
 import "cherisim/internal/core"
 
 // AttachMachine installs lockstep checkers behind every cache and TLB of a
-// freshly built machine: L1I/L1D/L2/LLC and both L1 TLBs plus the shared
+// freshly built machine — L1I/L1D/L2/LLC and both L1 TLBs plus the shared
 // L2 TLB (attached once; the second hierarchy's view is skipped via the
 // shadow test, as is an LLC already shared — and shadowed — by an earlier
-// core of a multi-core run). Call it from a machine setup hook, before the
-// machine executes anything.
+// core of a multi-core run) — and behind its heap's owner index and its
+// simulated memory. Call it from a machine setup hook, before the machine
+// executes anything.
 func (c *Collector) AttachMachine(m *core.Machine) {
 	AttachCache(c, m.L1I)
 	AttachCache(c, m.L1D)
@@ -19,4 +20,6 @@ func (c *Collector) AttachMachine(m *core.Machine) {
 	if m.DTLB.L2 != m.ITLB.L2 {
 		AttachTLB(c, m.DTLB.L2)
 	}
+	AttachHeap(c, m.Heap)
+	AttachMemory(c, m.Mem)
 }

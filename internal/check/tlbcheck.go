@@ -13,15 +13,12 @@ import (
 // the next insertion's full state compare); insertions and flushes are
 // compared on the complete entry array, and insertions additionally run
 // the optimized TLB's own structural invariant check, which is what pins
-// the map-index corruption class of bug to the exact insert that causes
+// the index-corruption class of bug to the exact insert that causes
 // it.
 type TLBChecker struct {
-	name string
-	opt  *tlb.TLB
-	ref  *refmodel.TLB
-	col  *Collector
-	ring opRing
-	dead bool
+	stream
+	opt *tlb.TLB
+	ref *refmodel.TLB
 	// Reused snapshot buffers keep the per-insert compare allocation-free.
 	optBuf, refBuf []tlb.EntryState
 }
@@ -35,10 +32,9 @@ func AttachTLB(col *Collector, t *tlb.TLB) *TLBChecker {
 		return nil
 	}
 	k := &TLBChecker{
-		name: t.Config().Name,
-		opt:  t,
-		ref:  refmodel.NewTLB(t.Config()),
-		col:  col,
+		stream: stream{name: t.Config().Name, col: col},
+		opt:    t,
+		ref:    refmodel.NewTLB(t.Config()),
 	}
 	t.SetShadow(k)
 	return k
@@ -46,11 +42,9 @@ func AttachTLB(col *Collector, t *tlb.TLB) *TLBChecker {
 
 // Lookup implements tlb.Shadow.
 func (k *TLBChecker) Lookup(vpn uint64, hit bool) {
-	if k.dead {
+	if !k.step(traceOp{kind: opTLBLookup, a: vpn}) {
 		return
 	}
-	k.col.operation()
-	k.ring.push(traceOp{kind: opTLBLookup, a: vpn})
 	refHit := k.ref.Lookup(vpn)
 	if refHit != hit {
 		k.diverge(fmt.Sprintf("hit: optimized %v, reference %v", hit, refHit))
@@ -63,11 +57,9 @@ func (k *TLBChecker) Lookup(vpn uint64, hit bool) {
 
 // Insert implements tlb.Shadow.
 func (k *TLBChecker) Insert(vpn uint64) {
-	if k.dead {
+	if !k.step(traceOp{kind: opTLBInsert, a: vpn}) {
 		return
 	}
-	k.col.operation()
-	k.ring.push(traceOp{kind: opTLBInsert, a: vpn})
 	k.ref.Insert(vpn)
 	if err := k.opt.CheckInvariants(); err != nil {
 		k.diverge(fmt.Sprintf("invariant: %v", err))
@@ -78,11 +70,9 @@ func (k *TLBChecker) Insert(vpn uint64) {
 
 // InvalidateAll implements tlb.Shadow.
 func (k *TLBChecker) InvalidateAll() {
-	if k.dead {
+	if !k.step(traceOp{kind: opTLBFlush}) {
 		return
 	}
-	k.col.operation()
-	k.ring.push(traceOp{kind: opTLBFlush})
 	k.ref.InvalidateAll()
 	k.compareState()
 }
@@ -101,20 +91,4 @@ func (k *TLBChecker) compareState() {
 			return
 		}
 	}
-}
-
-// Dead reports whether the checker has stopped after a divergence.
-func (k *TLBChecker) Dead() bool { return k.dead }
-
-// diverge reports the mismatch; the diverging operation is the one last
-// pushed onto the trace ring.
-func (k *TLBChecker) diverge(detail string) {
-	k.dead = true
-	k.col.record(&Divergence{
-		Component: k.name,
-		Step:      k.ring.n,
-		Op:        k.ring.ops[(k.ring.n-1)%traceDepth].String(),
-		Detail:    detail,
-		Trace:     k.ring.snapshot(),
-	})
 }

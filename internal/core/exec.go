@@ -200,8 +200,10 @@ func (m *Machine) fetchAdvance(nUops uint64) {
 		line := pc &^ 63
 		if line != last {
 			last = line
-			if lat := m.ITLB.Translate(line); lat > 0 {
-				m.feStall += float64(lat)
+			if !m.ITLB.FastHit(line) {
+				if lat := m.ITLB.Translate(line); lat > 0 {
+					m.feStall += float64(lat)
+				}
 			}
 			if r := m.L1I.Access(line, false); !r.Hit {
 				_, lat := m.l2Path(line, false)
@@ -428,11 +430,11 @@ func (m *Machine) LoadPtr(p Ptr) Ptr {
 	}
 	m.checkBounds("loadptr", addr, cap.Size)
 	m.loadPtrCapAccounting(addr)
-	enc, _, err := m.Mem.ReadCap(addr &^ (cap.Size - 1))
+	enc, tag, err := m.Mem.ReadCap(addr &^ (cap.Size - 1))
 	if err != nil {
 		m.fault("loadptr", addr, err)
 	}
-	c := cap.Decode(enc, m.Mem.TagAt(addr))
+	c := cap.Decode(enc, tag)
 	// A valid capability stripped of its load permission (CLRPERM, or an
 	// injected permission drop) cannot authorise the dereference this
 	// pointer exists for; surface the violation at the load. Untagged slots

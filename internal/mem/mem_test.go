@@ -195,3 +195,65 @@ func TestClearTag(t *testing.T) {
 		t.Fatal("ClearTag reported success on untagged granule")
 	}
 }
+
+// TestHotAccessesDoNotAllocate pins the per-access paths at zero heap
+// allocations: capability loads and stores are read and written in place
+// (a purecap pointer load used to allocate a 16-byte slice), and integer
+// accesses, including page-straddling ones, use stack buffers.
+func TestHotAccessesDoNotAllocate(t *testing.T) {
+	m := New()
+	enc, tag := cap.New(0x4000, 64, cap.PermsData).Encode()
+	if err := m.WriteCap(0x4000, enc, tag); err != nil {
+		t.Fatal(err)
+	}
+	straddle := uint64(2*PageSize - 4)
+	m.WriteUint(straddle, 1, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := m.ReadCap(0x4000); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteCap(0x4010, enc, tag); err != nil {
+			t.Fatal(err)
+		}
+		m.ReadCap(0x7000_0000) // unpopulated
+		m.WriteUint(0x4020, 7, 8)
+		m.ReadUint(0x4020, 8)
+		m.ReadUint(straddle, 8)
+		m.WriteUint(straddle, 2, 8)
+		m.TagAt(0x4000)
+	})
+	if allocs != 0 {
+		t.Fatalf("hot memory accesses allocate %.1f times per run", allocs)
+	}
+}
+
+// TestDirectMappedSlotSharing checks two pages that resolve through the
+// same direct-mapped slot (page numbers recentPages apart) keep their own
+// contents and tags when accesses alternate between them.
+func TestDirectMappedSlotSharing(t *testing.T) {
+	m := New()
+	a := uint64(0x10_0000)
+	b := a + recentPages*PageSize
+	enc, _ := cap.Root().Encode()
+	m.WriteCap(a, enc, true)
+	m.WriteUint(b, 0xbeef, 8)
+	for i := 0; i < 3; i++ {
+		if got := m.ReadUint(b, 8); got != 0xbeef {
+			t.Fatalf("page b read %#x", got)
+		}
+		if e, tagged, _ := m.ReadCap(a); !tagged || e != enc {
+			t.Fatalf("page a capability = %+v tagged %v", e, tagged)
+		}
+		if m.TagAt(b) {
+			t.Fatal("page b picked up page a's tag")
+		}
+	}
+	if m.Populated() != 2 {
+		t.Fatalf("populated = %d, want 2", m.Populated())
+	}
+	// A read of an unpopulated page sharing the slot neither creates it
+	// nor evicts a resident page's contents.
+	if m.ReadUint(a+2*recentPages*PageSize, 8) != 0 || m.Populated() != 2 {
+		t.Fatal("read of an unpopulated page populated it")
+	}
+}

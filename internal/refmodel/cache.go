@@ -1,8 +1,11 @@
 // Package refmodel holds deliberately naive, obviously-correct reference
 // implementations of the simulator's microarchitectural models: a
 // set-associative cache with no MRU fast path and a two-pass victim scan,
-// a fully-associative TLB with plain linear lookup (no map index, no
-// last-translation memo), and CHERI Concentrate bounds compression in
+// a fully-associative TLB with plain linear lookup (no hashed index, no
+// last-translation memo), a heap owner index that scans every live range
+// (no sorted table, no owner memo), a simulated memory that goes through
+// its page map one byte at a time (no recent-page array, no in-place
+// capability access), and CHERI Concentrate bounds compression in
 // big-integer arithmetic so 2^64-boundary cases are exact.
 //
 // The implementations trade every optimization for legibility: division

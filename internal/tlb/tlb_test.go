@@ -286,3 +286,76 @@ func TestInsertDuplicateTouchesLRU(t *testing.T) {
 		t.Fatal("LRU page survived")
 	}
 }
+
+// TestIndexProbeChainWrapEviction pins the open-addressed index's
+// backward-shift deletion on a probe chain that wraps past the end of the
+// table. Four entries give an eight-bucket index. A, B, C and E hash to the
+// last bucket, so their chain wraps to buckets 0, 1, 2; X hashes to bucket 1
+// and sits there before C arrives. Evicting B from the middle of the chain
+// must leave X in its home bucket and shift C back over the hole.
+func TestIndexProbeChainWrapEviction(t *testing.T) {
+	tb := New(Config{Name: "chain", Entries: 4, PageLog: 12})
+	if len(tb.index) != 8 {
+		t.Fatalf("index has %d buckets, want 8", len(tb.index))
+	}
+	last := len(tb.index) - 1
+	var wrap []uint64 // VPNs homed in the last bucket
+	var x uint64      // a VPN homed in bucket 1
+	for v := uint64(1); len(wrap) < 4 || x == 0; v++ {
+		switch tb.home(v) {
+		case last:
+			if len(wrap) < 4 {
+				wrap = append(wrap, v)
+			}
+		case 1:
+			if x == 0 {
+				x = v
+			}
+		}
+	}
+	a, b, c, e := wrap[0], wrap[1], wrap[2], wrap[3]
+	step := func(what string, op func()) {
+		t.Helper()
+		op()
+		if err := tb.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+	at := func(vpn uint64, want int) {
+		t.Helper()
+		if got := tb.bucketOf(vpn); got != want {
+			t.Fatalf("vpn %#x in bucket %d, want %d", vpn, got, want)
+		}
+	}
+	for _, v := range []uint64{a, b, x, c} {
+		step("insert", func() { tb.Insert(v << 12) })
+	}
+	at(a, last)
+	at(b, 0)
+	at(x, 1)
+	at(c, 2)
+	for _, v := range []uint64{a, x, c} { // B becomes the LRU victim
+		step("lookup", func() { tb.Lookup(v << 12) })
+	}
+	step("insert E evicting B", func() { tb.Insert(e << 12) })
+	at(b, -1)
+	at(a, last)
+	at(c, 0) // shifted back over B's hole
+	at(x, 1) // already home: must not move
+	at(e, 2)
+	for _, v := range []uint64{a, c, x, e} {
+		if !tb.Lookup(v << 12) {
+			t.Fatalf("resident vpn %#x missed", v)
+		}
+		if err := tb.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb.Lookup(b << 12) {
+		t.Fatal("evicted vpn hit")
+	}
+	step("flush", tb.InvalidateAll)
+	for _, v := range []uint64{a, c, x, e} {
+		at(v, -1)
+	}
+}
