@@ -39,7 +39,6 @@ import (
 	"cherisim/internal/cap"
 	"cherisim/internal/core"
 	"cherisim/internal/experiments"
-	"cherisim/internal/replay"
 	"cherisim/internal/tlb"
 	"cherisim/internal/workloads"
 )
@@ -291,47 +290,15 @@ func substrate() []bench {
 				b.Fatal(err)
 			}
 		}},
-		{"ReplayLoadStore", func(b *testing.B) {
-			// Mirror of internal/replay's BenchmarkReplayLoadStore: the
-			// record-and-replay fast path serving the MachineLoadStore
-			// access pattern, reported per store+load pair.
-			b.ReportAllocs()
-			const pairs = 1 << 16
-			rec := replay.NewRecorder()
-			m := core.New(abi.Purecap)
-			m.SetReplaySink(rec)
-			m.Func("bench", 512, 64)
-			var uops uint64
-			err := m.Run(func(m *core.Machine) {
-				p := m.Alloc(1 << 20)
-				for i := 0; i < pairs; i++ {
-					off := core.Ptr(uint64(i*64) % (1 << 20))
-					m.Store(p+off, uint64(i), 8)
-					m.Load(p+off, 8)
-				}
-				uops = m.Uops()
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			t := rec.Finish(uops)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += pairs {
-				m := core.New(abi.Purecap)
-				if err := replay.Run(m, t); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 	}
 }
 
 // guarded names the benchmarks the -compare gate enforces: the
-// simulator's end-to-end hot paths (live interpretation, the cached
-// session run, the replay fast path). The component micro-benchmarks are
-// exported for trend tracking but not gated — they are too small to
-// measure stably on shared CI runners.
-var guarded = []string{"MachineLoadStore", "SessionTelemetryOff", "ReplayLoadStore"}
+// simulator's end-to-end hot paths (live interpretation and the cached
+// session run). The component micro-benchmarks are exported for trend
+// tracking but not gated — they are too small to measure stably on shared
+// CI runners.
+var guarded = []string{"MachineLoadStore", "SessionTelemetryOff"}
 
 // compareMain re-measures the guarded benchmarks and gates them against
 // the committed snapshot at path: ns/op may not regress beyond tol

@@ -1,6 +1,7 @@
 // Command calibrate prints the simulator's per-workload characterization
-// next to the paper's reference values, for tuning workload kernels. It is
-// a development tool; the user-facing regenerators live in
+// next to the paper's reference values, for tuning workload kernels. It
+// measures through an experiments session, prefetched across the worker
+// pool. It is a development tool; the user-facing regenerators live in
 // cmd/experiments.
 package main
 
@@ -11,7 +12,7 @@ import (
 	"text/tabwriter"
 
 	"cherisim/internal/abi"
-	"cherisim/internal/metrics"
+	"cherisim/internal/experiments"
 	"cherisim/internal/pmu"
 	"cherisim/internal/workloads"
 )
@@ -21,23 +22,34 @@ func main() {
 	one := flag.String("w", "", "run a single workload")
 	flag.Parse()
 
-	tw := tabwriter.NewWriter(os.Stdout, 1, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tMI(hy)\tpaperMI\tbench/hy\tpure/hy\tinstR\tipcR\tcapLD%\tcapSD%\tL1D%\tL2%\tL1I%\tbrMR%\tFE%\tBE%\tMuops")
+	var ws []*workloads.Workload
+	var pairs []experiments.Pair
 	for _, w := range workloads.All() {
 		if *one != "" && w.Name != *one {
 			continue
 		}
+		ws = append(ws, w)
+		for _, a := range abi.All() {
+			pairs = append(pairs, experiments.Pair{Workload: w, ABI: a})
+		}
+	}
+	s := experiments.NewSession(*scale)
+	s.Prefetch(pairs)
+
+	tw := tabwriter.NewWriter(os.Stdout, 1, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "workload\tMI(hy)\tpaperMI\tbench/hy\tpure/hy\tinstR\tipcR\tcapLD%\tcapSD%\tL1D%\tL2%\tL1I%\tbrMR%\tFE%\tBE%\tMuops")
+	for _, w := range ws {
 		var secs, insts, ipcs [3]float64
 		var hyMI, capLD, capSD, l1d, l2, l1i, brmr, fe, be, inst float64
 		for i, a := range abi.All() {
-			m, err := workloads.Execute(w, a, *scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s/%s: %v\n", w.Name, a, err)
+			d := s.Run(w, a)
+			if d.Err != nil {
+				fmt.Fprintf(os.Stderr, "%s/%s: %v\n", w.Name, a, d.Err)
 				continue
 			}
-			mm := metrics.Compute(&m.C)
+			mm := &d.Metrics
 			secs[i] = mm.Seconds
-			insts[i] = float64(m.C.Get(pmu.INST_RETIRED))
+			insts[i] = float64(d.Counters.Get(pmu.INST_RETIRED))
 			ipcs[i] = mm.IPC
 			if a == abi.Hybrid {
 				hyMI = mm.MemoryIntensity
@@ -51,7 +63,7 @@ func main() {
 				l2 = mm.L2MR * 100
 				fe = mm.FrontendBound * 100
 				be = mm.BackendBound * 100
-				inst = float64(m.C.Get(pmu.INST_RETIRED)) / 1e6
+				inst = float64(d.Counters.Get(pmu.INST_RETIRED)) / 1e6
 			}
 		}
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.2f\t%.2f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f\t%.1f\t%.2f\n",

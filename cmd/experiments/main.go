@@ -101,8 +101,6 @@ func main() {
 	logLevel := flag.String("log-level", "",
 		"emit structured logs on stderr at this level (debug, info, warn, error; empty = silent)")
 	logJSON := flag.Bool("log-json", false, "structured logs as JSON lines instead of text")
-	noReplay := flag.Bool("no-replay", false,
-		"disable the record-and-replay fast path: execute every kernel live (see README's Fast path section)")
 	storeDir := flag.String("store", "",
 		"persistent result-store directory: serve cached runs from it and persist new ones (campaign resume)")
 	baselinePath := flag.String("baseline", "",
@@ -116,7 +114,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	experiments.SetReplayEnabled(!*noReplay)
 	var attackNames []string
 	if *attacksFlag != "" {
 		if *run != "security" {
@@ -173,7 +170,6 @@ func main() {
 		if store != nil {
 			fmt.Fprintf(os.Stderr, "experiments: store: %s\n", store.Stats())
 		}
-		reportReplay(os.Stderr)
 	}
 
 	switch {
@@ -365,22 +361,6 @@ func reportCheck(s *experiments.Session, w io.Writer) int {
 		fmt.Fprintf(w, "experiments: check: ... and %d more divergences\n", extra)
 	}
 	return 1
-}
-
-// reportReplay summarizes the record-and-replay fast path's campaign
-// counters on w; silent when the fast path never engaged (disabled, or a
-// fully supervised campaign).
-func reportReplay(w io.Writer) {
-	st := experiments.ReplayStats()
-	if st.Records == 0 && st.Replays == 0 {
-		return
-	}
-	fmt.Fprintf(w, "experiments: replay: %d streams recorded (%d blocks, %d bytes), %d replays served %d fast-path µops",
-		st.Records, st.Blocks, st.Bytes, st.Replays, st.FastpathUops)
-	if st.Rejected > 0 {
-		fmt.Fprintf(w, ", %d recordings over budget", st.Rejected)
-	}
-	fmt.Fprintln(w)
 }
 
 // runCampaign renders every experiment against s in degraded mode, writes

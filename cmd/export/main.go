@@ -1,7 +1,8 @@
 // Command export runs the full measurement campaign (every workload under
-// every ABI) and writes the results as machine-readable artefacts — the
-// simulator's equivalent of the paper's published data
-// (github.com/xshaun/iiswc25-ae).
+// every ABI) through an experiments session — prefetched across the worker
+// pool and supervised like every campaign run — and writes the results as
+// machine-readable artefacts: the simulator's equivalent of the paper's
+// published data (github.com/xshaun/iiswc25-ae).
 //
 // Usage:
 //
@@ -15,9 +16,8 @@ import (
 	"io"
 	"os"
 
-	"cherisim/internal/abi"
+	"cherisim/internal/experiments"
 	"cherisim/internal/report"
-	"cherisim/internal/workloads"
 )
 
 func main() {
@@ -31,16 +31,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	s := experiments.NewSession(*scale)
+	grid := experiments.CampaignGrid()
+	s.Prefetch(grid)
 	d := report.NewDataset(*scale)
-	for _, w := range workloads.All() {
-		for _, a := range abi.All() {
-			m, err := workloads.Execute(w, a, *scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "export: %s/%s faulted: %v (partial counters exported)\n", w.Name, a, err)
-			}
-			d.Add(report.NewSample(w.Name, a, &m.C))
-			fmt.Fprintf(os.Stderr, "measured %s/%s\n", w.Name, a)
+	for _, p := range grid {
+		r := s.Run(p.Workload, p.ABI)
+		if r.Err != nil {
+			fmt.Fprintf(os.Stderr, "export: %s/%s faulted: %v (partial counters exported)\n", p.Workload.Name, p.ABI, r.Err)
 		}
+		d.Add(report.NewSample(p.Workload.Name, p.ABI, &r.Counters))
+		fmt.Fprintf(os.Stderr, "measured %s/%s\n", p.Workload.Name, p.ABI)
 	}
 
 	write := func(path string, fn func(io.Writer) error) {

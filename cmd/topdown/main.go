@@ -1,6 +1,6 @@
-// Command topdown runs one workload under every ABI and prints the
-// hierarchical top-down comparison — the §4.4 drill-down for arbitrary
-// workloads.
+// Command topdown runs one workload under every ABI through an experiments
+// session and prints the hierarchical top-down comparison — the §4.4
+// drill-down for arbitrary workloads.
 //
 // Usage:
 //
@@ -14,8 +14,7 @@ import (
 	"text/tabwriter"
 
 	"cherisim/internal/abi"
-	"cherisim/internal/metrics"
-	"cherisim/internal/topdown"
+	"cherisim/internal/experiments"
 	"cherisim/internal/workloads"
 )
 
@@ -33,15 +32,21 @@ func main() {
 		os.Exit(1)
 	}
 
+	s := experiments.NewSession(*scale)
+	var pairs []experiments.Pair
+	for _, a := range abi.All() {
+		pairs = append(pairs, experiments.Pair{Workload: w, ABI: a})
+	}
+	s.Prefetch(pairs)
+
 	tw := tabwriter.NewWriter(os.Stdout, 1, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "abi\ttime(s)\tIPC\tretiring\tbadspec\tfrontend\tbackend\tmemory\tL1\tL2\textmem\tcore\tdominant")
 	for _, a := range abi.All() {
-		m, err := workloads.Execute(w, a, *scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "topdown: %s faulted: %v\n", a, err)
+		d := s.Run(w, a)
+		if d.Err != nil {
+			fmt.Fprintf(os.Stderr, "topdown: %s faulted: %v\n", a, d.Err)
 		}
-		mm := metrics.Compute(&m.C)
-		td := topdown.Analyze(&m.C)
+		mm, td := &d.Metrics, &d.Topdown
 		fmt.Fprintf(tw, "%s\t%.4f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%s\n",
 			a, mm.Seconds, mm.IPC, td.Retiring, td.BadSpec, td.FrontendBound, td.BackendBound,
 			td.MemoryBound, td.L1Bound, td.L2Bound, td.ExtMemBound, td.CoreBound,

@@ -171,8 +171,7 @@ func TestSelect(t *testing.T) {
 }
 
 // TestCorpusRegistration: the attacks ride the workloads registry but stay
-// hidden from the campaign grid, and each carries a Canary hook and the
-// Live marker that keeps it off the replay fast path.
+// hidden from the campaign grid, and each carries a Canary hook.
 func TestCorpusRegistration(t *testing.T) {
 	if n := len(All()); n != 10 {
 		t.Fatalf("corpus has %d attacks, want 10", n)
@@ -187,8 +186,8 @@ func TestCorpusRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("attack %q not resolvable: %v", a.Name, err)
 		}
-		if !w.Live || w.Canary == nil {
-			t.Fatalf("attack %q: Live=%v Canary=%v", a.Name, w.Live, w.Canary != nil)
+		if w.Canary == nil {
+			t.Fatalf("attack %q has no Canary witness", a.Name)
 		}
 		if a.CWE == "" || !strings.HasPrefix(a.CWE, "CWE-") {
 			t.Fatalf("attack %q has no CWE class", a.Name)

@@ -20,13 +20,19 @@ import (
 // bootService starts a campaign service over a cache-fronted store and a
 // loopback HTTP server.
 func bootService(t *testing.T, dir string) (*Service, *httptest.Server, *resultstore.Store) {
+	return bootServiceRunners(t, dir, 1)
+}
+
+// bootServiceRunners is bootService with the given number of concurrent
+// campaign runners.
+func bootServiceRunners(t *testing.T, dir string, runners int) (*Service, *httptest.Server, *resultstore.Store) {
 	t.Helper()
 	store, err := resultstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.EnableAdmissionCache(resultstore.DefaultCacheBytes)
-	svc := New(Config{Store: store, Hub: telemetry.New(), Workers: 2, Runners: 1, QueueDepth: 4})
+	svc := New(Config{Store: store, Hub: telemetry.New(), Workers: 2, Runners: runners, QueueDepth: 4})
 	svc.Start()
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
@@ -142,6 +148,27 @@ func TestCampaignE2E(t *testing.T) {
 	}
 	if !bytes.Equal(fetchResult(t, ts, warm.ID), body) {
 		t.Error("warm body differs from cold body")
+	}
+}
+
+// TestConcurrentTenantsSimulateOnce: two tenants submit the same cold
+// ext-sweep at once. Every kernel key executes once on the shared fleet —
+// the second tenant joins the execution in flight or is served by the
+// store — so their sims add up to the experiment's 14 kernels, and both
+// bodies are identical.
+func TestConcurrentTenantsSimulateOnce(t *testing.T) {
+	_, ts, _ := bootServiceRunners(t, t.TempDir(), 2)
+	a := postCampaign(t, ts, `{"tenant":"a","experiments":["ext-sweep"]}`)
+	b := postCampaign(t, ts, `{"tenant":"b","experiments":["ext-sweep"]}`)
+	stA, stB := awaitDone(t, ts, a.ID), awaitDone(t, ts, b.ID)
+	if len(stA.Failed)+len(stB.Failed) != 0 {
+		t.Fatalf("campaigns failed: %v %v", stA.Failed, stB.Failed)
+	}
+	if sims := stA.Sims + stB.Sims; sims != 14 {
+		t.Errorf("tenants simulated %d + %d kernels, want 14 in total", stA.Sims, stB.Sims)
+	}
+	if !bytes.Equal(fetchResult(t, ts, a.ID), fetchResult(t, ts, b.ID)) {
+		t.Error("tenants received different bodies for the same campaign")
 	}
 }
 

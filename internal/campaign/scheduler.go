@@ -63,7 +63,7 @@ type tenantQueue struct {
 // Service schedules submitted campaigns across one shared worker fleet.
 type Service struct {
 	cfg   Config
-	fleet chan int
+	fleet *experiments.Fleet
 
 	mu        sync.Mutex
 	closed    bool

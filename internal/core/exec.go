@@ -314,25 +314,7 @@ func (m *Machine) LoadDep(p Ptr, size uint64) uint64 { return m.load(p, size, De
 
 func (m *Machine) load(p Ptr, size uint64, dep Dependency) uint64 {
 	addr := uint64(p)
-	if m.recOn() {
-		var d uint64
-		if dep {
-			d = 1
-		}
-		m.rec.Op(RopLoad, addr, size, d)
-	}
 	m.checkBounds("load", addr, size)
-	m.loadAccounting(addr, size, dep)
-	if size > 8 {
-		size = 8
-	}
-	return m.Mem.ReadUint(addr, size)
-}
-
-// loadAccounting performs a data load's µop, translation, cache and stall
-// accounting — everything but the spatial check and the data read, shared
-// between the live path and the replay fast path.
-func (m *Machine) loadAccounting(addr, size uint64, dep Dependency) {
 	m.uop(isa.LoadInt, 1)
 	m.memAddrOverhead()
 	m.C.Inc(pmu.MEM_ACCESS_RD)
@@ -344,23 +326,16 @@ func (m *Machine) loadAccounting(addr, size uint64, dep Dependency) {
 	if end := (addr + size - 1) &^ 63; size > 0 && end != addr&^63 {
 		m.dataPath(end, false) // line-straddling access
 	}
+	if size > 8 {
+		size = 8
+	}
+	return m.Mem.ReadUint(addr, size)
 }
 
 // Store performs a data store of size bytes.
 func (m *Machine) Store(p Ptr, val, size uint64) {
 	addr := uint64(p)
-	if m.recOn() {
-		m.rec.Op(RopStore, addr, val, size)
-	}
 	m.checkBounds("store", addr, size)
-	m.storeBody(addr, val, size)
-}
-
-// storeBody performs a store's accounting and the memory write — everything
-// but the spatial check, shared between the live path and the replay fast
-// path (stores always run in full: the written data and cleared tags feed
-// revocation sweeps and later capability loads).
-func (m *Machine) storeBody(addr, val, size uint64) {
 	m.uop(isa.StoreInt, 1)
 	m.memAddrOverhead()
 	m.C.Inc(pmu.MEM_ACCESS_WR)
@@ -420,16 +395,27 @@ func (m *Machine) checkProvenance(op string, base, addr Ptr, size uint64) {
 // dependent by nature.
 func (m *Machine) LoadPtr(p Ptr) Ptr {
 	addr := uint64(p)
-	if m.recOn() {
-		m.rec.Op(RopLoadPtr, addr, 0, 0)
-	}
 	if !m.ABI.PointersAreCapabilities() {
 		m.checkBounds("loadptr", addr, 8)
-		m.loadPtrIntAccounting(addr)
+		m.uop(isa.LoadInt, 1)
+		m.C.Inc(pmu.MEM_ACCESS_RD)
+		m.translateD(addr)
+		lvl, lat := m.dataPath(addr, false)
+		m.Tracer.Record(trace.KindLoad, addr, 8, uint8(lvl))
+		m.accountLoadStall(lvl, lat, Dep)
 		return Ptr(m.Mem.ReadUint(addr, 8))
 	}
 	m.checkBounds("loadptr", addr, cap.Size)
-	m.loadPtrCapAccounting(addr)
+	m.uop(isa.LoadCap, 1)
+	m.uop(isa.DP, m.ABI.PtrArithDPOps())
+	m.memAddrOverhead()
+	m.C.Inc(pmu.MEM_ACCESS_RD)
+	m.C.Inc(pmu.CAP_MEM_ACCESS_RD)
+	m.C.Inc(pmu.MEM_ACCESS_RD_CTAG)
+	m.translateD(addr)
+	lvl, lat := m.dataPath(addr, false)
+	m.Tracer.Record(trace.KindCapLoad, addr, 16, uint8(lvl))
+	m.accountLoadStallCap(lvl, lat, Dep, true)
 	enc, tag, err := m.Mem.ReadCap(addr &^ (cap.Size - 1))
 	if err != nil {
 		m.fault("loadptr", addr, err)
@@ -443,32 +429,6 @@ func (m *Machine) LoadPtr(p Ptr) Ptr {
 		m.fault("loadptr", addr, cap.ErrPermViolation)
 	}
 	return Ptr(c.Address())
-}
-
-// loadPtrIntAccounting is the hybrid pointer load's accounting — everything
-// but the spatial check and the data read.
-func (m *Machine) loadPtrIntAccounting(addr uint64) {
-	m.uop(isa.LoadInt, 1)
-	m.C.Inc(pmu.MEM_ACCESS_RD)
-	m.translateD(addr)
-	lvl, lat := m.dataPath(addr, false)
-	m.Tracer.Record(trace.KindLoad, addr, 8, uint8(lvl))
-	m.accountLoadStall(lvl, lat, Dep)
-}
-
-// loadPtrCapAccounting is the purecap capability load's accounting —
-// everything but the spatial check and the capability image read/decode.
-func (m *Machine) loadPtrCapAccounting(addr uint64) {
-	m.uop(isa.LoadCap, 1)
-	m.uop(isa.DP, m.ABI.PtrArithDPOps())
-	m.memAddrOverhead()
-	m.C.Inc(pmu.MEM_ACCESS_RD)
-	m.C.Inc(pmu.CAP_MEM_ACCESS_RD)
-	m.C.Inc(pmu.MEM_ACCESS_RD_CTAG)
-	m.translateD(addr)
-	lvl, lat := m.dataPath(addr, false)
-	m.Tracer.Record(trace.KindCapLoad, addr, 16, uint8(lvl))
-	m.accountLoadStallCap(lvl, lat, Dep, true)
 }
 
 // LoadPtrChecked is LoadPtr followed by the dereference-readiness check:
@@ -489,31 +449,17 @@ func (m *Machine) LoadPtrChecked(p Ptr) Ptr {
 // the purecap ABIs.
 func (m *Machine) StorePtr(p Ptr, target Ptr) {
 	addr := uint64(p)
-	if m.recOn() {
-		m.rec.Op(RopStorePtr, addr, uint64(target), 0)
-	}
 	if !m.ABI.PointersAreCapabilities() {
 		m.checkBounds("storeptr", addr, 8)
-	} else {
-		m.checkBounds("storeptr", addr, cap.Size)
-	}
-	m.storePtrUnchecked(addr, uint64(target))
-}
-
-// storePtrUnchecked is StorePtr minus the spatial check, shared between
-// the live path and the replay fast path. Pointer stores always run in
-// full: the derived capability image and its tag feed revocation sweeps
-// and later capability loads.
-func (m *Machine) storePtrUnchecked(addr, target uint64) {
-	if !m.ABI.PointersAreCapabilities() {
 		m.uop(isa.StoreInt, 1)
 		m.C.Inc(pmu.MEM_ACCESS_WR)
 		m.translateD(addr)
 		lvl, _ := m.dataPath(addr, true)
 		m.Tracer.Record(trace.KindStore, addr, 8, uint8(lvl))
-		m.Mem.WriteUint(addr, target, 8)
+		m.Mem.WriteUint(addr, uint64(target), 8)
 		return
 	}
+	m.checkBounds("storeptr", addr, cap.Size)
 	m.uop(isa.StoreCap, 1)
 	m.uop(isa.DP, m.ABI.PtrArithDPOps())
 	m.memAddrOverhead()
@@ -526,7 +472,7 @@ func (m *Machine) storePtrUnchecked(addr, target uint64) {
 	// 128-bit store through 64-bit-sized store buffers: extra occupancy
 	// surfaces as core-bound backend pressure (§2.2).
 	m.beCore += m.Cfg.CapStoreQueuePenalty
-	c := m.deriveCap(target)
+	c := m.deriveCap(uint64(target))
 	enc, tag := c.Encode()
 	if err := m.Mem.WriteCap(addr&^(cap.Size-1), enc, tag); err != nil {
 		m.fault("storeptr", addr, err)
@@ -563,18 +509,12 @@ func (m *Machine) CapCodegen(n uint64) {
 	if !m.ABI.PointersAreCapabilities() {
 		return
 	}
-	if m.recOn() {
-		m.rec.Op(RopCapCodegen, n, 0, 0)
-	}
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.05
 }
 
 // ALU executes n integer data-processing µops.
 func (m *Machine) ALU(n uint64) {
-	if m.recOn() {
-		m.rec.Op(RopALU, n, 0, 0)
-	}
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.05
 }
@@ -582,36 +522,24 @@ func (m *Machine) ALU(n uint64) {
 // CapManip executes n capability-manipulation µops (bounds setting, value
 // derivation); they occupy the integer pipes and count as DP_SPEC.
 func (m *Machine) CapManip(n uint64) {
-	if m.recOn() {
-		m.rec.Op(RopCapManip, n, 0, 0)
-	}
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.08
 }
 
 // FP executes n floating-point µops.
 func (m *Machine) FP(n uint64) {
-	if m.recOn() {
-		m.rec.Op(RopFP, n, 0, 0)
-	}
 	m.uop(isa.VFP, n)
 	m.beCore += float64(n) * 0.18
 }
 
 // SIMD executes n advanced-SIMD µops.
 func (m *Machine) SIMD(n uint64) {
-	if m.recOn() {
-		m.rec.Op(RopSIMD, n, 0, 0)
-	}
 	m.uop(isa.ASE, n)
 	m.beCore += float64(n) * 0.12
 }
 
 // Crypto executes n cryptographic-extension µops.
 func (m *Machine) Crypto(n uint64) {
-	if m.recOn() {
-		m.rec.Op(RopCrypto, n, 0, 0)
-	}
 	m.uop(isa.Crypto, n)
 	m.beCore += float64(n) * 0.12
 }
@@ -622,13 +550,6 @@ func (m *Machine) Crypto(n uint64) {
 // program would express at one code location, or the predictor cannot
 // learn their bias.
 func (m *Machine) Branch(taken bool) {
-	if m.recOn() {
-		var t uint64
-		if taken {
-			t = 1
-		}
-		m.rec.Op(RopBranch, t, 0, 0)
-	}
 	m.uop(isa.BranchImmed, 1)
 	out := m.BP.Resolve(m.fetchPC, branch.Immed, taken, 0, false)
 	m.accountBranch(out)
@@ -639,13 +560,6 @@ func (m *Machine) Branch(taken bool) {
 // the workload), so the direction predictor trains per-site history
 // exactly as it would for a fixed PC in real code.
 func (m *Machine) BranchAt(site uint64, taken bool) {
-	if m.recOn() {
-		var t uint64
-		if taken {
-			t = 1
-		}
-		m.rec.Op(RopBranchAt, site, t, 0)
-	}
 	m.uop(isa.BranchImmed, 1)
 	out := m.BP.Resolve(TextBase+site*4, branch.Immed, taken, 0, false)
 	m.accountBranch(out)
@@ -655,13 +569,6 @@ func (m *Machine) BranchAt(site uint64, taken bool) {
 // under the purecap ABI installs new PCC bounds (the Morello predictor
 // stall the benchmark ABI removes).
 func (m *Machine) Call(f *Fn, crossDSO bool) {
-	if m.recOn() {
-		var x uint64
-		if crossDSO {
-			x = 1
-		}
-		m.rec.Op(RopCall, uint64(f.idx), x, 0)
-	}
 	pccChanged := m.ABI.CapabilityJumps() && crossDSO
 	m.call(f, branch.Call, pccChanged)
 }
@@ -671,9 +578,6 @@ func (m *Machine) Call(f *Fn, crossDSO bool) {
 // always changes PCC bounds. The dispatch site is the calling function
 // (one BTB entry per caller); use CallVirtualAt for distinct static sites.
 func (m *Machine) CallVirtual(f *Fn) {
-	if m.recOn() {
-		m.rec.Op(RopCallVirtual, uint64(f.idx), 0, 0)
-	}
 	site := m.fetchPC
 	if m.curFn != nil {
 		site = m.curFn.Base
@@ -684,9 +588,6 @@ func (m *Machine) CallVirtual(f *Fn) {
 // CallVirtualAt is CallVirtual with an explicit static dispatch site, so
 // the branch target buffer trains per-site as it would for real code.
 func (m *Machine) CallVirtualAt(site uint64, f *Fn) {
-	if m.recOn() {
-		m.rec.Op(RopCallVirtualAt, site, uint64(f.idx), 0)
-	}
 	m.callAt(TextBase+site*4, f, branch.Indirect, m.ABI.CapabilityJumps())
 }
 
@@ -723,9 +624,6 @@ func (m *Machine) callAt(site uint64, f *Fn, kind branch.Kind, pccChanged bool) 
 func (m *Machine) Return() {
 	if len(m.stack) == 0 {
 		return
-	}
-	if m.recOn() {
-		m.rec.Op(RopReturn, 0, 0, 0)
 	}
 	fr := m.stack[len(m.stack)-1]
 	m.stack = m.stack[:len(m.stack)-1]
@@ -810,17 +708,12 @@ func (m *Machine) accountBranch(out branch.Outcome) {
 // allocator's fast-path work and, under purecap, the capability-derivation
 // instructions (SCBNDS and representability rounding).
 func (m *Machine) Alloc(size uint64) Ptr {
-	if m.recOn() {
-		m.rec.Op(RopAlloc, size, 0, 0)
-	}
-	m.recMute++ // the bookkeeping µops below replay via Alloc itself
 	addr, err := m.Heap.Alloc(size)
 	if err != nil {
 		m.fault("alloc", 0, err)
 	}
 	m.ALU(6) // allocator fast path
 	m.uop(isa.DP, m.ABI.AllocDPOps())
-	m.recMute--
 	return Ptr(addr)
 }
 
@@ -828,17 +721,12 @@ func (m *Machine) Alloc(size uint64) Ptr {
 // enters quarantine, and a revocation sweep runs when the quarantine
 // crosses its threshold.
 func (m *Machine) Free(p Ptr) {
-	if m.recOn() {
-		m.rec.Op(RopFree, uint64(p), 0, 0)
-	}
-	m.recMute++ // bookkeeping µops and revocation sweeps replay via Free
 	if err := m.Heap.Free(uint64(p)); err != nil {
 		m.fault("free", uint64(p), err)
 	}
 	m.ALU(4)
 	m.ownBase, m.ownSize = 0, 0
 	m.maybeRevoke()
-	m.recMute--
 }
 
 // AllocRecord allocates one record of the given layout.

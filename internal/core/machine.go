@@ -117,10 +117,6 @@ type Fn struct {
 	cat  [NumAttrCategories]float64
 	ev   [NumAttrEvents]uint64
 	uops uint64
-
-	// idx is the function's position in the machine's registration order;
-	// the replay recorder uses it as a stable cross-machine identifier.
-	idx int
 }
 
 type frame struct {
@@ -216,12 +212,6 @@ type Machine struct {
 	// re-estimate per µop call without changing any counter or metric.
 	profileOff bool
 
-	// rec, when non-nil, receives every top-level API event (see
-	// replay.go); recMute suppresses recording inside API calls whose
-	// internals are themselves expressed through the API.
-	rec     ReplaySink
-	recMute int
-
 	faulted *Fault
 }
 
@@ -258,12 +248,9 @@ func New(a abi.ABI) *Machine { return NewMachine(DefaultConfig(a)) }
 // Func registers a simulated function occupying codeBytes of text (scaled
 // by the ABI's code-size factor) with a frameBytes activation record.
 func (m *Machine) Func(name string, codeBytes, frameBytes uint64) *Fn {
-	if m.recOn() {
-		m.rec.FuncOp(name, codeBytes, frameBytes)
-	}
 	sz := uint64(float64(codeBytes) * m.ABI.CodeSizeFactor())
 	sz = (sz + 63) &^ 63
-	f := &Fn{Name: name, Base: m.nextCode, Size: sz, Frame: frameBytes, machine: m, idx: len(m.fns)}
+	f := &Fn{Name: name, Base: m.nextCode, Size: sz, Frame: frameBytes, machine: m}
 	if m.ABI.PointersAreCapabilities() {
 		c, err := cap.Root().SetBounds(f.Base, f.Size)
 		if err == nil {

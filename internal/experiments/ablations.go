@@ -39,11 +39,8 @@ func init() {
 // hybrid* baseline, so the delta shows how much of CHERI's cost the
 // microarchitectural change removes.
 func ablate(s *Session, names []string, configure func(*core.Config)) (string, error) {
-	mod := NewSession(s.Scale)
-	mod.Configure = configure
-	mod.Jobs = s.Jobs
-	mod.Store = s.Store // the Configure hook is part of the store key
-	mod.NoReplay = s.NoReplay
+	mod := s.derive()
+	mod.Configure = configure // part of the store key
 	// Fan the modified-configuration runs out across the worker pool before
 	// the serial render below (the base session's pairs are declared via
 	// ablationPairs, so a campaign prefetch has already covered them).
@@ -81,7 +78,7 @@ var ablationSet = []string{
 }
 
 // ablationPairs declares the base-session measurements every ablation
-// compares against (the modified-configuration runs live in a private
+// compares against (the modified-configuration runs live in a derived
 // session and are prefetched inside ablate).
 func ablationPairs() []Pair {
 	return namedPairs(ablationSet, abi.Hybrid, abi.Purecap)

@@ -11,17 +11,17 @@ import (
 	"cherisim/internal/core"
 	"cherisim/internal/profile"
 	"cherisim/internal/resultstore"
+	"cherisim/internal/telemetry"
 	"cherisim/internal/workloads"
 )
 
 // This file wires the per-function attribution profiler (core.attribute +
 // internal/profile) through the campaign engine: ProfileRun is the profiled
-// sibling of Session.Run — singleflighted, pool-bounded, persisted under
-// its own store kind — and the "hotspots" experiment renders the
-// differential ABI hotspot report over the paper's top-down workload set.
-// Profiled runs always execute live: the replay fast path retires µops
-// without visiting the interpreter's function stack, and DisableProfile is
-// exactly the switch this path leaves on.
+// sibling of Session.Run — memoized per session, executed through
+// Session.do and persisted under its own store kind — and the "hotspots"
+// experiment renders the differential ABI hotspot report over the paper's
+// top-down workload set. Profiled runs leave attribution on; grid runs
+// switch it off with DisableProfile, since nothing reads their profiles.
 
 // hotspotTopN bounds the rendered rows per workload; the full profile is
 // still computed, exported (flamegraph/pprof) and stored.
@@ -36,21 +36,14 @@ func init() {
 	})
 }
 
-// profFlight is one profiled-run singleflight cell: the first caller owns
-// the execution and closes done; later callers share the outcome.
-type profFlight struct {
-	done chan struct{}
-	prof *core.AttributionProfile
-	err  error
-}
-
-// profileStoreKey addresses one profiled (workload, ABI) run. It rides the
-// measurement key's fingerprints but under its own kind, and folds the
-// attribution layout version into the config fingerprint so a layout change
-// invalidates stored profiles without touching the model fingerprint (and
-// therefore without invalidating golden baselines or plain run entries).
-func (s *Session) profileStoreKey(w *workloads.Workload, a abi.ABI) resultstore.Key {
-	key := s.runStoreKey(w, a)
+// profileStoreKey addresses one profiled (workload, ABI) run under its
+// effective configuration cfg. It rides the measurement key's fingerprints
+// but under its own kind, and folds the attribution layout version into the
+// config fingerprint so a layout change invalidates stored profiles without
+// touching the model fingerprint (and therefore without invalidating golden
+// baselines or plain run entries).
+func (s *Session) profileStoreKey(w *workloads.Workload, a abi.ABI, cfg core.Config) resultstore.Key {
+	key := s.runStoreKey(w, a, cfg)
 	key.Kind = resultstore.KindProfile
 	key.Config += "+" + core.AttrLayoutVersion
 	return key
@@ -64,85 +57,41 @@ func (s *Session) profileStoreKey(w *workloads.Workload, a abi.ABI) resultstore.
 // and byte-identical output. Every returned profile has passed
 // profile.Reconcile against its run's counter file.
 func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.AttributionProfile, error) {
-	key := runKey{workload: w.Name, abi: a}
-	s.mu.Lock()
-	if s.pflight == nil {
-		s.pflight = make(map[runKey]*profFlight)
-	}
-	if c, ok := s.pflight[key]; ok {
-		obs := s.obs
-		s.mu.Unlock()
-		obs.sfHit()
-		<-c.done
-		return c.prof, c.err
-	}
-	c := &profFlight{done: make(chan struct{})}
-	s.pflight[key] = c
-	sem := s.pool()
-	obs := s.obs // built by pool() when telemetry is on
-	s.mu.Unlock()
-
-	c.prof, c.err = s.profileRun(w, a, key, sem, obs)
-	close(c.done)
+	c := s.memoized(memoKey{workload: w.Name, abi: a, profile: true}, func(c *memoCell) {
+		cfg := s.effectiveConfig(a)
+		key := s.profileStoreKey(w, a, cfg)
+		e, err := s.do(key, 1, func(run *telemetry.Span) (*resultstore.Entry, error) {
+			return s.profileOnce(key, w, a, cfg, run)
+		})
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.prof = e.Profile
+		s.campaignObserver().profiled(w, a, c.prof)
+	})
 	return c.prof, c.err
 }
 
-// profileRun is ProfileRun's owning-caller body: store lookup, live
-// profiled execution, reconciliation, persistence, telemetry publish.
-func (s *Session) profileRun(w *workloads.Workload, a abi.ABI, key runKey, sem chan int, obs *runObserver) (*core.AttributionProfile, error) {
-	var sk resultstore.Key
-	if s.Store != nil {
-		sk = s.profileStoreKey(w, a)
-		if s.storeEnabled() {
-			if e, ok := s.Store.Load(sk); ok && e.Profile != nil {
-				obs.storeHit()
-				obs.profiled(w, a, e.Profile)
-				return e.Profile, nil
-			}
-			obs.storeMiss()
-		}
-	}
-
-	worker := <-sem
-	m, err := s.profileOnce(w, a, obs)
-	sem <- worker
+// profileOnce performs one profiled execution: the session's supervision
+// and lockstep hooks but — unlike executeOnce — no DisableProfile, so the
+// interpreter attributes every µop to the function executing it. The
+// profile is reconciled against the run's counter file before it is
+// stored.
+func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, run *telemetry.Span) (*resultstore.Entry, error) {
+	s.execs.Add(1)
+	_, setup := s.attemptSetup(w, a, 0, s.campaignObserver(), run)
+	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
 	if err != nil {
-		return nil, fmt.Errorf("profile %s/%s: %w", key.workload, key.abi, err)
+		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
 	}
 	prof := m.AttributionProfile()
 	if err := profile.Reconcile(prof, &m.C); err != nil {
-		return nil, fmt.Errorf("profile %s/%s: %w", key.workload, key.abi, err)
+		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
 	}
-	if s.Store != nil {
-		e := &resultstore.Entry{Key: sk, Attempts: 1, Profile: &prof}
-		fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, nil)
-		s.storeSave(e, obs)
-	}
-	obs.profiled(w, a, &prof)
-	return &prof, nil
-}
-
-// profileOnce performs one live profiled execution: the session's
-// supervision and lockstep hooks, but no replay and — crucially — no
-// DisableProfile, so the interpreter attributes every µop to the function
-// executing it.
-func (s *Session) profileOnce(w *workloads.Workload, a abi.ABI, obs *runObserver) (*core.Machine, error) {
-	s.execs.Add(1)
-	cfg := s.effectiveConfig(a)
-	var setup func(*core.Machine)
-	if s.Chaos != nil || s.DeadlineUops > 0 {
-		_, setup = s.supervisedSetup(w, a, 0, obs, nil)
-	}
-	if col := s.checkCollector(); col != nil {
-		inner := setup
-		setup = func(m *core.Machine) {
-			col.AttachMachine(m)
-			if inner != nil {
-				inner(m)
-			}
-		}
-	}
-	return workloads.ExecuteHooked(w, cfg, s.Scale, setup)
+	e := &resultstore.Entry{Key: key, Attempts: 1, Profile: &prof}
+	fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, nil)
+	return e, nil
 }
 
 // HotspotProfiles profiles the paper's top-down workload set (Table 4)

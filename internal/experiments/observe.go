@@ -8,7 +8,8 @@ import (
 	"cherisim/internal/abi"
 	"cherisim/internal/core"
 	"cherisim/internal/faultinject"
-	"cherisim/internal/replay"
+	"cherisim/internal/metrics"
+	"cherisim/internal/resultstore"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/workloads"
 )
@@ -33,9 +34,6 @@ type runObserver struct {
 	storeHits     *telemetry.Counter
 	storeMisses   *telemetry.Counter
 	storeWriteErr *telemetry.Counter
-	replayRecords *telemetry.Counter
-	replayBlocks  *telemetry.Counter
-	replayUops    *telemetry.Counter
 	profileRuns   *telemetry.Counter
 	profileFns    *telemetry.Counter
 	profileUops   *telemetry.Counter
@@ -67,9 +65,6 @@ func newRunObserver(hub *telemetry.Hub) *runObserver {
 		storeHits:     m.Counter("store_hits"),
 		storeMisses:   m.Counter("store_misses"),
 		storeWriteErr: m.Counter("store_write_errors"),
-		replayRecords: m.Counter("replay_records"),
-		replayBlocks:  m.Counter("replay_blocks"),
-		replayUops:    m.Counter("replay_fastpath_uops"),
 		profileRuns:   m.Counter("profile_runs"),
 		profileFns:    m.Counter("profile_functions"),
 		profileUops:   m.Counter("profile_uops_attributed"),
@@ -120,24 +115,6 @@ func (o *runObserver) storeWriteError() {
 	}
 }
 
-// recorded counts one event stream captured for the replay fast path.
-func (o *runObserver) recorded(t *replay.Trace) {
-	if o != nil {
-		o.replayRecords.Inc()
-		o.replayBlocks.Add(int64(t.Blocks()))
-	}
-}
-
-// replayed marks an attempt served from a recorded event stream and counts
-// the µops the fast path retired without interpreting the kernel.
-func (o *runObserver) replayed(att *telemetry.Span, t *replay.Trace) {
-	if o == nil {
-		return
-	}
-	o.replayUops.Add(int64(t.Uops))
-	att.Attr("replayed", true)
-}
-
 // profiled counts one attribution profile captured (live or store-served)
 // and publishes it to the hub's /profiles store under workload/abi.
 func (o *runObserver) profiled(w *workloads.Workload, a abi.ABI, p *core.AttributionProfile) {
@@ -154,21 +131,30 @@ func (o *runObserver) profiled(w *workloads.Workload, a abi.ABI, p *core.Attribu
 	o.hub.Profiles.Put(w.Name+"/"+a.String(), p)
 }
 
-// runStart opens the workload-run span on the acquired worker's track.
-// runs_started doubles as the singleflight miss count: every miss becomes
-// exactly one execution.
-func (o *runObserver) runStart(w *workloads.Workload, a abi.ABI, scale, worker int) *telemetry.Span {
+// runStart opens the run span of one execution on the first acquired
+// worker's track and counts its slots as occupied. Runs are named
+// "run:workload/abi"; profiled runs, kernels and co-runs by their store
+// kind and name. runs_started doubles as the fleet-wide singleflight miss
+// count: every miss becomes exactly one execution.
+func (o *runObserver) runStart(key resultstore.Key, slots, worker int) *telemetry.Span {
 	if o == nil {
 		return nil
 	}
 	o.runsStarted.Inc()
-	o.poolOccupancy.Add(1)
+	o.poolOccupancy.Add(int64(slots))
+	name := key.Kind + ":" + key.Name
+	if key.ABI != "" {
+		name += "/" + key.ABI
+	}
 	track := o.hub.Spans.Track(fmt.Sprintf("worker-%d", worker))
-	return o.campaign.Child("run:"+w.Name+"/"+a.String()).
-		SetTrack(track).
-		Attr("workload", w.Name).
-		Attr("abi", a.String()).
-		Attr("scale", scale)
+	run := o.campaign.Child(name).SetTrack(track).Attr("workload", key.Name)
+	if key.ABI != "" {
+		run.Attr("abi", key.ABI)
+	}
+	if slots > 1 {
+		run.Attr("slots", slots)
+	}
+	return run.Attr("scale", key.Scale)
 }
 
 // attemptStart opens one attempt span under the run span.
@@ -198,22 +184,22 @@ func (o *runObserver) injectObserver(att *telemetry.Span, seed uint64) func(faul
 
 // attemptEnd closes one attempt span with the outcome attributes and feeds
 // the attempt-level counters (deadline aborts, manifested faults, retries).
-func (o *runObserver) attemptEnd(att *telemetry.Span, d *RunData, willRetry bool) {
+func (o *runObserver) attemptEnd(att *telemetry.Span, e *resultstore.Entry, err error, willRetry bool) {
 	if o == nil {
 		return
 	}
-	att.Attr("uops", d.Uops).Attr("injected", len(d.Injected))
-	if d.Err != nil {
-		att.Attr("err", d.Err.Error())
-		if f, ok := faultOf(d.Err); ok {
+	att.Attr("uops", e.Uops).Attr("injected", len(e.Injected))
+	if err != nil {
+		att.Attr("err", err.Error())
+		if f, ok := faultOf(err); ok {
 			// A fault after injections is a manifestation: the corrupted
 			// state (or delivered trap) surfaced as an architectural fault.
-			if len(d.Injected) > 0 {
+			if len(e.Injected) > 0 {
 				o.surfaced[f.Kind].Inc()
 			}
 			att.Attr("fault_kind", f.Kind.String())
 		}
-		if isDeadline(d.Err) {
+		if isDeadline(err) {
 			o.deadlines.Inc()
 		}
 	}
@@ -224,28 +210,49 @@ func (o *runObserver) attemptEnd(att *telemetry.Span, d *RunData, willRetry bool
 	att.End()
 }
 
-// runEnd closes the run span with final attributes and feeds the run-level
-// counters and histograms.
-func (o *runObserver) runEnd(run *telemetry.Span, d *RunData, elapsed time.Duration) {
+// runEnd closes the run span with final attributes, releases its slots
+// from pool_occupancy and feeds the run-level counters and histograms. A
+// run fails when exec returned an error or the stored outcome (any core of
+// a co-run) carries one.
+func (o *runObserver) runEnd(run *telemetry.Span, e *resultstore.Entry, err error, slots int, elapsed time.Duration) {
 	if o == nil {
 		return
 	}
-	o.poolOccupancy.Add(-1)
+	o.poolOccupancy.Add(-int64(slots))
 	o.wallMs.Observe(float64(elapsed.Nanoseconds()) / 1e6)
-	run.Attr("attempts", d.Attempts).Attr("uops", d.Uops).Attr("injected", len(d.Injected))
-	if d.Err != nil {
+	var uops uint64
+	var attempts int
+	var failure string
+	if err != nil {
+		failure = err.Error()
+	} else {
+		uops, attempts = e.Uops, e.Attempts
+		if e.Error != nil {
+			failure = e.Error.Msg
+		}
+		for i := range e.Cores {
+			uops += e.Cores[i].Uops
+			if failure == "" && e.Cores[i].Error != nil {
+				failure = e.Cores[i].Error.Msg
+			}
+		}
+		run.Attr("attempts", attempts).Attr("injected", len(e.Injected))
+	}
+	run.Attr("uops", uops)
+	if failure != "" {
 		o.runsFailed.Inc()
-		run.Attr("err", d.Err.Error())
+		run.Attr("err", failure)
 	} else {
 		o.runsCompleted.Inc()
-		simMs := d.Metrics.Seconds * 1e3
-		o.simMs.Observe(simMs)
-		run.Attr("sim_ms", simMs)
+		if c, ok := e.CountersFile(); ok {
+			simMs := metrics.Compute(&c).Seconds * 1e3
+			o.simMs.Observe(simMs)
+			run.Attr("sim_ms", simMs)
+		}
 	}
-	o.runUops.Observe(float64(d.Uops))
+	o.runUops.Observe(float64(uops))
 	run.End()
-	o.hub.Logger().Debug("run finished",
-		"attempts", d.Attempts, "uops", d.Uops, "err", d.Err)
+	o.hub.Logger().Debug("run finished", "attempts", attempts, "uops", uops, "err", failure)
 }
 
 // experimentSpan opens one experiment-render span under the campaign root.

@@ -95,14 +95,9 @@ func runResilience(s *Session) (string, error) {
 	for _, rate := range resilienceRates {
 		sub := s
 		if rate > 0 || s.Chaos != nil {
-			sub = NewSession(s.Scale)
-			sub.Jobs = s.Jobs
-			sub.Configure = s.Configure
-			sub.DeadlineUops = s.DeadlineUops
+			sub = s.derive()
 			sub.Retries = retries
-			sub.Store = s.Store // chaos schedule is part of the store key
-			sub.NoReplay = s.NoReplay
-			sub.shareTelemetryWith(s)
+			sub.Chaos = nil // the chaos schedule is part of the store key
 			if rate > 0 {
 				sub.Chaos = &faultinject.Config{Seed: seed, RatePerMUops: rate, Kinds: kinds}
 			}

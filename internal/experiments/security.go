@@ -54,15 +54,7 @@ func runSecurity(s *Session) (string, error) {
 	// settings (deadline watchdog, bounded retries, chaos) apply
 	// unchanged.
 	for _, a := range sel {
-		sub := NewSession(s.Scale)
-		sub.Jobs = s.Jobs
-		sub.Chaos = s.Chaos
-		sub.ChaosSeed = s.ChaosSeed
-		sub.DeadlineUops = s.DeadlineUops
-		sub.Retries = s.Retries
-		sub.Store = s.Store
-		sub.NoReplay = s.NoReplay
-		sub.shareTelemetryWith(s)
+		sub := s.derive()
 		parent := s.Configure
 		attack := a.Configure
 		sub.Configure = func(cfg *core.Config) {

@@ -11,7 +11,6 @@ import (
 	"cherisim/internal/core"
 	"cherisim/internal/resultstore"
 	"cherisim/internal/telemetry"
-	"cherisim/internal/workloads"
 )
 
 // TestSecurityVerdictsMatchSpec is the oracle's happy path: the full
@@ -177,33 +176,6 @@ func TestSecurityWitnessRoundTrip(t *testing.T) {
 					tc.attack, tc.ab, coldD.Err, warmD.Err)
 			}
 		}
-	}
-}
-
-// TestAttackRunsBypassReplay is the satellite bypass proof, modeled on
-// TestSupervisedAndCheckedRunsBypassReplay: attack workloads are Live, so
-// three fault-free hybrid runs — which would sight, record and replay an
-// ordinary workload — must never touch the fast path.
-func TestAttackRunsBypassReplay(t *testing.T) {
-	ResetReplay()
-	defer ResetReplay()
-
-	w, err := workloads.ByName("attack:oob-read")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ { // would sight+record+replay if eligible
-		s := NewSession(1)
-		d := s.Run(w, abi.Hybrid)
-		if d == nil || d.Err != nil {
-			t.Fatalf("run %d: %+v", run, d)
-		}
-		if d.Witness == nil || !d.Witness.Planted {
-			t.Fatalf("run %d: missing canary witness", run)
-		}
-	}
-	if st := ReplayStats(); st.Records != 0 || st.Replays != 0 {
-		t.Fatalf("attack runs touched the fast path: %+v", st)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"cherisim/internal/faultinject"
 	"cherisim/internal/metrics"
 	"cherisim/internal/pmu"
-	"cherisim/internal/replay"
 	"cherisim/internal/resultstore"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/topdown"
@@ -48,10 +47,6 @@ type RunData struct {
 	// canary region the kernel planted (nil for workloads without one).
 	// See internal/attacks.
 	Witness *workloads.CanaryReport
-	// hasMachine records whether a machine produced Counters/Heap/Uops (a
-	// panic before machine construction leaves them zero without one); the
-	// result store needs the distinction to round-trip failed runs.
-	hasMachine bool
 }
 
 // Pair names one (workload, ABI) measurement of the campaign grid.
@@ -60,32 +55,17 @@ type Pair struct {
 	ABI      abi.ABI
 }
 
-// inflight is one singleflight cell: the first caller of a key owns the
-// execution and closes done; every later caller blocks on done and shares
-// the same RunData.
-type inflight struct {
-	done chan struct{}
-	data *RunData
-}
-
-// runKey identifies one (workload, ABI) singleflight cell. A composite
-// struct key instead of a concatenated string keeps the cached-run hot
-// path allocation-free (the guard BenchmarkSessionTelemetryOff pins this).
-type runKey struct {
-	workload string
-	abi      abi.ABI
-}
-
 // Session caches workload runs so experiments that share measurements
 // (e.g. Figure 1 and Table 3) execute each (workload, ABI) pair once, the
 // way the paper reuses one measurement campaign across its analyses.
 //
-// The session is safe for concurrent use: callers of the same
-// (workload, ABI) key are deduplicated onto a single in-flight execution
-// (singleflight), while distinct keys execute concurrently, bounded by a
-// worker pool of min(GOMAXPROCS, Jobs) simulated machines. Each execution
-// builds a private core.Machine, so parallel runs are deterministic and
-// their cached results are independent of scheduling order.
+// Every simulation — a grid run, a profiled run, a custom kernel or a
+// co-run — goes through one primitive (do): it joins an execution of the
+// same store key already in flight on the session's fleet, serves the key
+// from the result store, or executes it on bounded worker slots, then
+// persists and observes the result. Each execution builds private
+// machines, so parallel runs are deterministic and their results are
+// independent of scheduling order. The session is safe for concurrent use.
 type Session struct {
 	// Scale multiplies every workload's iteration counts.
 	Scale int
@@ -114,14 +94,6 @@ type Session struct {
 	// violations, deadlines and panics are never retried.
 	Retries int
 
-	// NoReplay opts this session out of the record-and-replay fast path
-	// (see internal/replay): every run executes its kernel live. Supervised
-	// sessions (Chaos, DeadlineUops, Check) are always on the live path
-	// regardless — fault injection and lockstep shadowing must observe
-	// every event. The -no-replay flag disables the fast path globally via
-	// SetReplayEnabled instead.
-	NoReplay bool
-
 	// Attacks, when non-empty, restricts the security experiment to the
 	// named attack-corpus entries (see internal/attacks). Other
 	// experiments ignore it.
@@ -144,16 +116,16 @@ type Session struct {
 	// telemetry counter. Set it before the first Run/Prefetch call.
 	Check bool
 
-	// Store, when non-nil, is the persistent result cache: Run consults it
-	// before simulating (unless Check is set — checked runs must execute)
-	// and persists every finished result, so a warm campaign resumes from
-	// disk. The nil store is inert. Set it before the first Run/Prefetch
-	// call. See internal/resultstore.
+	// Store, when non-nil, is the persistent result cache: every
+	// simulation consults it before executing (unless Check is set —
+	// checked runs must execute) and persists every finished result, so a
+	// warm campaign resumes from disk. The nil store is inert. Set it
+	// before the first Run/Prefetch call. See internal/resultstore.
 	Store *resultstore.Store
 
 	// Telemetry, when non-nil, receives spans, metrics and logs for every
-	// supervised run: a campaign-root span with per-worker run/attempt
-	// spans under it, injected faults as instant events, and the engine's
+	// simulation: a campaign-root span with per-worker run/attempt spans
+	// under it, injected faults as instant events, and the engine's
 	// counter/gauge/histogram set (see internal/telemetry). Nil (the
 	// default) keeps the engine inert: the hot path costs one pointer test,
 	// allocates nothing, and rendered output is byte-identical. Set it
@@ -161,12 +133,11 @@ type Session struct {
 	Telemetry *telemetry.Hub
 
 	mu       sync.Mutex
-	flight   map[runKey]*inflight
-	pflight  map[runKey]*profFlight // attribution-profile singleflight (see hotspots.go)
-	sem      chan int               // worker-ID pool: receiving acquires a slot + identity
+	memo     map[memoKey]*memoCell
+	fleet    *Fleet
 	obs      *runObserver
 	checkCol *check.Collector
-	execs    atomic.Uint64 // machine executions (simulated or replayed), not store hits
+	execs    *atomic.Uint64 // machine executions, not store hits; shared with derived sessions
 }
 
 // NewSession creates a measurement session at the given workload scale.
@@ -174,58 +145,159 @@ func NewSession(scale int) *Session {
 	if scale < 1 {
 		scale = 1
 	}
-	return &Session{Scale: scale, flight: make(map[runKey]*inflight)}
+	return &Session{Scale: scale, memo: make(map[memoKey]*memoCell), execs: new(atomic.Uint64)}
 }
 
-// pool returns the worker-pool semaphore, building it on first use. The
-// channel is pre-filled with worker IDs, so acquiring a slot also names
-// the worker — the identity telemetry renders as one trace track per
-// worker. Callers must hold s.mu.
-func (s *Session) pool() chan int {
-	if s.sem == nil {
+// derive returns a sub-session for an experiment that re-measures under a
+// modified configuration or supervision (ablations, the resilience sweep,
+// the attack corpus). It inherits the scale, the Configure hook and the
+// supervision settings, and shares the fleet, store, telemetry, checker and
+// execution counter, so its runs are bounded, deduplicated, persisted,
+// observed, checked and counted exactly like the parent's. Callers
+// override only what differs.
+func (s *Session) derive() *Session {
+	sub := NewSession(s.Scale)
+	sub.Configure = s.Configure
+	sub.Chaos = s.Chaos
+	sub.ChaosSeed = s.ChaosSeed
+	sub.DeadlineUops = s.DeadlineUops
+	sub.Retries = s.Retries
+	sub.Store = s.Store
+	sub.Telemetry = s.Telemetry
+	sub.Check = s.Check
+	sub.checkCol = s.checkCollector()
+	s.mu.Lock()
+	sub.fleet = s.pool()
+	sub.obs = s.obs // built by pool() when telemetry is on
+	s.mu.Unlock()
+	sub.execs = s.execs
+	return sub
+}
+
+// Fleet is a pool of simulation-worker slots plus the table of store keys
+// executing on it. Every session attached to one fleet (SharePool) draws
+// from its slots and joins its in-flight executions, so concurrent
+// sessions — the campaign service runs each submission on its own session
+// over one shared fleet — compete for workers instead of multiplying them,
+// and execute each key once between them.
+type Fleet struct {
+	slots  chan int   // worker-ID pool: receiving acquires a slot + identity
+	gather sync.Mutex // serialises multi-slot acquisition (see acquire)
+
+	mu     sync.Mutex
+	flight map[flightKey]*flight
+}
+
+// flightKey identifies one execution on a fleet: the full store key, plus
+// the lockstep collector observing it (nil when unchecked), so a checked
+// session never joins an execution its checker did not shadow.
+type flightKey struct {
+	key   resultstore.Key
+	check *check.Collector
+}
+
+// flight is one execution in progress: the caller that claimed the key
+// owns it and closes done; every later caller blocks on done and shares
+// the outcome.
+type flight struct {
+	done  chan struct{}
+	entry *resultstore.Entry
+	err   error
+}
+
+// NewFleet builds a fleet of n worker slots (1 when n < 1).
+func NewFleet(n int) *Fleet {
+	if n < 1 {
+		n = 1
+	}
+	f := &Fleet{slots: make(chan int, n), flight: make(map[flightKey]*flight)}
+	for i := 0; i < n; i++ {
+		f.slots <- i
+	}
+	return f
+}
+
+// size returns the fleet's worker-slot count.
+func (f *Fleet) size() int { return cap(f.slots) }
+
+// claim returns the flight for k and whether the caller owns it: a key
+// already executing is joined, anything else is claimed by the caller,
+// who must finish it.
+func (f *Fleet) claim(k flightKey) (*flight, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.flight[k]; ok {
+		return c, false
+	}
+	c := &flight{done: make(chan struct{})}
+	f.flight[k] = c
+	return c, true
+}
+
+// finish retires k and wakes its joiners. The owner persists the result
+// before finishing, so a later request for k is served by the store.
+func (f *Fleet) finish(k flightKey, c *flight) {
+	f.mu.Lock()
+	delete(f.flight, k)
+	f.mu.Unlock()
+	close(c.done)
+}
+
+// acquire takes n worker slots (1 <= n <= size) and returns their IDs. A
+// multi-slot request gathers its slots under one lock, so two of them can
+// never each hold part of the fleet while waiting for the rest. Holding
+// the lock across the receives is safe: no slot holder ever waits for it,
+// and a single-slot request, never waiting for a second slot, skips it.
+func (f *Fleet) acquire(n int) []int {
+	if n > 1 {
+		f.gather.Lock()
+		defer f.gather.Unlock()
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = <-f.slots
+	}
+	return ids
+}
+
+// release returns acquired slots to the fleet.
+func (f *Fleet) release(ids []int) {
+	for _, id := range ids {
+		f.slots <- id
+	}
+}
+
+// pool returns the session's fleet, building a private one of
+// min(GOMAXPROCS, Jobs) slots on first use. Callers must hold s.mu.
+func (s *Session) pool() *Fleet {
+	if s.fleet == nil {
 		n := s.Jobs
 		if g := runtime.GOMAXPROCS(0); n <= 0 || n > g {
 			n = g
 		}
-		s.sem = NewFleet(n)
+		s.fleet = NewFleet(n)
 	}
 	if obs := s.observer(); obs != nil {
-		obs.poolWorkers.Set(int64(cap(s.sem)))
+		obs.poolWorkers.Set(int64(s.fleet.size()))
 	}
-	return s.sem
+	return s.fleet
 }
 
-// NewFleet builds a worker-ID pool of n slots (1 when n < 1): a channel
-// pre-filled with worker identities, the same structure pool() builds
-// privately. A fleet handed to several sessions via SharePool bounds their
-// combined concurrency — the campaign service runs every submission on its
-// own Session but one shared fleet, so tenants compete for simulation
-// workers instead of multiplying them.
-func NewFleet(n int) chan int {
-	if n < 1 {
-		n = 1
-	}
-	p := make(chan int, n)
-	for i := 0; i < n; i++ {
-		p <- i
-	}
-	return p
-}
-
-// SharePool attaches a pre-built worker fleet (NewFleet) to the session in
-// place of its private pool. Must be called before the first
-// Run/Prefetch/ProfileRun; a nil fleet is ignored.
-func (s *Session) SharePool(p chan int) {
-	if p == nil {
+// SharePool attaches a pre-built fleet (NewFleet) to the session in place
+// of its private pool. Must be called before the first simulation; a nil
+// fleet is ignored.
+func (s *Session) SharePool(f *Fleet) {
+	if f == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sem = p
+	s.fleet = f
 }
 
-// Executions returns how many machine executions (live or replayed) the
-// session has performed — store-served runs do not count. A warm campaign
+// Executions returns how many machine executions the session and the
+// sub-sessions derived from it have performed. Store-served results and
+// executions joined from another session do not count, so a warm campaign
 // over a populated store reports 0.
 func (s *Session) Executions() uint64 { return s.execs.Load() }
 
@@ -247,17 +319,6 @@ func (s *Session) campaignObserver() *runObserver {
 	return s.observer()
 }
 
-// shareTelemetryWith attaches s to parent's telemetry: same hub and same
-// observer, so the runs of a derived sub-session (the resilience sweep's
-// per-rate sessions) nest under the parent's campaign-root span and feed
-// one shared metric set instead of opening a second dangling root.
-func (s *Session) shareTelemetryWith(parent *Session) {
-	s.Telemetry = parent.Telemetry
-	s.obs = parent.campaignObserver()
-	s.Check = parent.Check
-	s.checkCol = parent.checkCollector()
-}
-
 // checkCollector returns the session's lockstep collector, building it on
 // first use; nil when checking is off.
 func (s *Session) checkCollector() *check.Collector {
@@ -273,10 +334,9 @@ func (s *Session) checkCollector() *check.Collector {
 	return s.checkCol
 }
 
-// MachineSetup returns the per-machine hook the session installs on its own
-// runs, for experiments that build machines outside the session (the soc
-// co-runs); nil when lockstep checking is off.
-func (s *Session) MachineSetup() func(*core.Machine) {
+// machineSetup returns the per-machine hook the session installs on the
+// machines of kernels and co-runs; nil when lockstep checking is off.
+func (s *Session) machineSetup() func(*core.Machine) {
 	col := s.checkCollector()
 	if col == nil {
 		return nil
@@ -331,121 +391,183 @@ func (s *Session) FinishTelemetry() {
 	obs.finish()
 }
 
-// Run returns the (cached) outcome of executing workload w under ABI a.
-// Concurrent calls for the same pair share one execution; calls for
-// different pairs proceed in parallel up to the worker-pool bound.
-func (s *Session) Run(w *workloads.Workload, a abi.ABI) *RunData {
-	key := runKey{workload: w.Name, abi: a}
+// do is the one path from a store key to a result that has been executed,
+// persisted and observed. In order, it joins an execution of the same key
+// already in flight on the fleet; otherwise serves the key from the store,
+// before taking any slot; otherwise acquires `slots` worker slots (capped
+// at the fleet's size), runs exec, saves its entry, closes the run span
+// with the runs_*, run_wall_ms and pool_occupancy metrics and releases the
+// slots — in that order, so pool_occupancy never counts more slots than
+// the fleet has. exec receives the run span so supervised callers can hang
+// attempt spans beneath it. An exec error reaches every caller of the key
+// and is never persisted.
+func (s *Session) do(key resultstore.Key, slots int, exec func(run *telemetry.Span) (*resultstore.Entry, error)) (*resultstore.Entry, error) {
 	s.mu.Lock()
-	if s.flight == nil {
-		s.flight = make(map[runKey]*inflight)
-	}
-	if c, ok := s.flight[key]; ok {
-		obs := s.obs
-		s.mu.Unlock()
-		obs.sfHit()
-		<-c.done
-		return c.data
-	}
-	c := &inflight{done: make(chan struct{})}
-	s.flight[key] = c
-	sem := s.pool()
+	fleet := s.pool()
 	obs := s.obs // built by pool() when telemetry is on
 	s.mu.Unlock()
 
-	// Persistent-store lookup, before a worker slot is taken: a served
-	// entry costs one file read, no simulation and no pool contention.
-	var sk resultstore.Key
-	if s.Store != nil {
-		sk = s.runStoreKey(w, a)
-		if d, ok := s.loadRun(sk, obs); ok {
-			c.data = d
-			close(c.done)
-			return c.data
-		}
+	fk := flightKey{key: key, check: s.checkCollector()}
+	c, owner := fleet.claim(fk)
+	if !owner {
+		obs.sfHit()
+		<-c.done
+		return c.entry, c.err
+	}
+	if e, ok := s.load(key, obs); ok {
+		c.entry = e
+		fleet.finish(fk, c)
+		return e, nil
 	}
 
-	worker := <-sem // acquire a worker-pool slot (and its identity)
+	slots = max(1, min(slots, fleet.size()))
+	ids := fleet.acquire(slots)
 	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
-	span := obs.runStart(w, a, s.Scale, worker)
-	c.data = s.execute(w, a, obs, span)
-	if obs != nil {
-		obs.runEnd(span, c.data, time.Since(t0))
+	run := obs.runStart(key, slots, ids[0])
+	c.entry, c.err = exec(run)
+	if c.err == nil {
+		s.save(c.entry, obs)
 	}
-	s.saveRun(sk, c.data, obs)
-	sem <- worker
+	if obs != nil {
+		obs.runEnd(run, c.entry, c.err, slots, time.Since(t0))
+	}
+	fleet.release(ids)
+	fleet.finish(fk, c)
+	return c.entry, c.err
+}
+
+// memoCell is one per-session result cell: the first caller of a key
+// resolves it and closes done; every later caller waits on done and shares
+// the result, so a repeated Run costs one map lookup and allocates nothing.
+type memoCell struct {
+	done chan struct{}
+	run  *RunData
+	prof *core.AttributionProfile
+	err  error
+}
+
+// memoKey identifies one memo cell: a (workload, ABI) run or, with
+// profile set, its attribution-profiled sibling. A composite struct key
+// instead of a concatenated string keeps the cached-run hot path
+// allocation-free (the guard BenchmarkSessionTelemetryOff pins this).
+type memoKey struct {
+	workload string
+	abi      abi.ABI
+	profile  bool
+}
+
+// memoized returns the session's cell for k, resolving it on first use.
+func (s *Session) memoized(k memoKey, resolve func(*memoCell)) *memoCell {
+	s.mu.Lock()
+	if c, ok := s.memo[k]; ok {
+		obs := s.obs
+		s.mu.Unlock()
+		obs.sfHit()
+		<-c.done
+		return c
+	}
+	c := &memoCell{done: make(chan struct{})}
+	s.memo[k] = c
+	s.mu.Unlock()
+	resolve(c)
 	close(c.done)
-	return c.data
+	return c
+}
+
+// Run returns the (cached) outcome of executing workload w under ABI a.
+// Concurrent calls for the same pair share one execution; calls for
+// different pairs proceed in parallel up to the worker-pool bound.
+func (s *Session) Run(w *workloads.Workload, a abi.ABI) *RunData {
+	return s.memoized(memoKey{workload: w.Name, abi: a}, func(c *memoCell) {
+		cfg := s.effectiveConfig(a)
+		key := s.runStoreKey(w, a, cfg)
+		e, _ := s.do(key, 1, func(run *telemetry.Span) (*resultstore.Entry, error) {
+			return s.execute(key, w, a, cfg, run), nil
+		})
+		c.run = runDataFromEntry(e)
+	}).run
 }
 
 // execute performs one supervised workload run: up to 1+Retries attempts
 // on fresh machines, retrying only transient injected faults. The retry
-// schedule is deterministic — attempt k of a pair always replays the same
+// schedule is deterministic — attempt k of a pair always draws the same
 // fault schedule, independent of pool scheduling (and of whether telemetry
 // observes it).
-func (s *Session) execute(w *workloads.Workload, a abi.ABI, obs *runObserver, run *telemetry.Span) *RunData {
+func (s *Session) execute(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, run *telemetry.Span) *resultstore.Entry {
+	obs := s.campaignObserver()
 	for attempt := 0; ; attempt++ {
 		att := obs.attemptStart(run, attempt)
-		d := s.executeOnce(w, a, attempt, obs, att)
-		d.Attempts = attempt + 1
-		if d.Err == nil || attempt >= s.Retries || !core.IsTransient(d.Err) {
-			obs.attemptEnd(att, d, false)
-			return d
+		e, err := s.executeOnce(key, w, a, cfg, attempt, obs, att)
+		e.Attempts = attempt + 1
+		retry := err != nil && attempt < s.Retries && core.IsTransient(err)
+		obs.attemptEnd(att, e, err, retry)
+		if !retry {
+			return e
 		}
-		obs.attemptEnd(att, d, true)
 	}
 }
 
-// executeOnce performs one uncached workload run on a fresh machine,
-// installing the watchdog/injector quantum hook when the session is
-// configured for supervision.
-func (s *Session) executeOnce(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) *RunData {
+// executeOnce performs one attempt on a fresh machine and returns its
+// entry together with the live run error.
+func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, attempt int, obs *runObserver, att *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
-	cfg := core.DefaultConfig(a)
-	if s.Configure != nil {
-		s.Configure(&cfg)
-	}
-	supervised := s.Chaos != nil || s.DeadlineUops > 0
-
-	// Record-and-replay fast path (internal/replay): unsupervised,
-	// uncheckered runs of non-Live workloads replay a previously recorded
-	// event stream for the same (workload, ABI, scale, heap-shaping) key — bit-identical
-	// counters without interpreting the kernel. Recording is demand-driven
-	// (see replay.Cache): a key's second miss proves the campaign
-	// re-requests it (ablation sessions re-measuring the grid under
-	// modified timing models), so that execution records its stream and
-	// every later request replays.
-	// Live workloads (the attack corpus) never record or replay: their
-	// kernels trap mid-run under some ABIs and their machines carry
-	// post-run state (the canary witness) that a replayed stream would
-	// not reproduce.
-	fast := s.replayEligible() && !supervised && !w.Live
-	var rkey replay.Key
-	var record bool
-	if fast {
-		var t *replay.Trace
-		rkey = replay.KeyFor(w.Name, s.Scale, &cfg)
-		if t, record = replayCache.Lookup(rkey); t != nil {
-			m := core.NewMachine(cfg)
-			m.DisableProfile()
-			if err := replay.Run(m, t); err == nil {
-				obs.replayed(att, t)
-				return runDataOf(m, nil, nil)
-			}
-			// A replay error means the trace cannot be trusted (it cannot
-			// legitimately happen: recorded runs were fault-free and
-			// deterministic). Demote the key to the live path.
-			replayCache.Drop(rkey)
+	inj, setup := s.attemptSetup(w, a, attempt, obs, att)
+	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, func(m *core.Machine) {
+		// Nothing in the harness reads per-function profiles; skipping
+		// attribution changes no counter or metric (see DisableProfile).
+		m.DisableProfile()
+		if setup != nil {
+			setup(m)
 		}
+	})
+	e := &resultstore.Entry{Key: key}
+	if inj != nil {
+		e.Injected = inj.Events()
 	}
+	if w.Canary != nil {
+		wr := w.Canary(m)
+		e.Witness = &wr
+	}
+	fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), err, true, nil)
+	return e, err
+}
 
+// attemptSetup builds one attempt's machine hook: when the session is
+// supervised, the deterministic fault injector (under chaos) and the
+// quantum hook that drives it and the watchdog; when checking is on, the
+// lockstep checker's shadows. Nil when neither applies. The measured path
+// (executeOnce) and the profiled path (profileOnce) share it, so both
+// observe the same fault schedule for the same (workload, ABI, attempt)
+// cell.
+func (s *Session) attemptSetup(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) (*faultinject.Injector, func(*core.Machine)) {
 	var inj *faultinject.Injector
+	if s.Chaos != nil {
+		c := *s.Chaos
+		c.Seed = faultinject.RunSeed(c.Seed, w.Name, a.String(), attempt)
+		c.Observe = obs.injectObserver(att, c.Seed)
+		inj = faultinject.New(c)
+	}
 	var setup func(*core.Machine)
-	if supervised {
-		inj, setup = s.supervisedSetup(w, a, attempt, obs, att)
+	if deadline := s.DeadlineUops; inj != nil || deadline > 0 {
+		setup = func(m *core.Machine) {
+			quantum := uint64(faultinject.DefaultQuantum)
+			if inj != nil {
+				quantum = inj.Quantum()
+			}
+			var executed uint64
+			m.SetQuantum(quantum, func() {
+				executed += quantum
+				if deadline > 0 && executed >= deadline {
+					panic(&core.DeadlineError{Uops: executed, Budget: deadline})
+				}
+				if inj != nil {
+					inj.Step(m)
+				}
+			})
+		}
 	}
 	if col := s.checkCollector(); col != nil {
 		inner := setup
@@ -456,92 +578,7 @@ func (s *Session) executeOnce(w *workloads.Workload, a abi.ABI, attempt int, obs
 			}
 		}
 	}
-	var rec *replay.Recorder
-	if record {
-		rec = replay.NewRecorder()
-	}
-	inner := setup
-	setup = func(m *core.Machine) {
-		// Nothing in the harness reads per-function profiles; skipping
-		// attribution changes no counter or metric (see DisableProfile).
-		m.DisableProfile()
-		if rec != nil {
-			m.SetReplaySink(rec)
-		}
-		if inner != nil {
-			inner(m)
-		}
-	}
-	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
-	if rec != nil && err == nil && m != nil {
-		if t := rec.Finish(m.Uops()); replayCache.Put(rkey, t) {
-			obs.recorded(t)
-		}
-	}
-	var injected []faultinject.Event
-	if inj != nil {
-		injected = inj.Events()
-	}
-	d := runDataOf(m, err, injected)
-	if w.Canary != nil && m != nil {
-		wr := w.Canary(m)
-		d.Witness = &wr
-	}
-	return d
-}
-
-// supervisedSetup builds one attempt's supervision: the deterministic fault
-// injector (when the session runs chaos) and the quantum hook that drives
-// the watchdog and the injector. Shared by the measurement path
-// (executeOnce) and the profiled path (profileOnce), so both observe the
-// same fault schedule for the same (workload, ABI, attempt) cell.
-func (s *Session) supervisedSetup(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) (*faultinject.Injector, func(*core.Machine)) {
-	var inj *faultinject.Injector
-	if s.Chaos != nil {
-		c := *s.Chaos
-		c.Seed = faultinject.RunSeed(c.Seed, w.Name, a.String(), attempt)
-		c.Observe = obs.injectObserver(att, c.Seed)
-		inj = faultinject.New(c)
-	}
-	deadline := s.DeadlineUops
-	setup := func(m *core.Machine) {
-		quantum := uint64(faultinject.DefaultQuantum)
-		if inj != nil {
-			quantum = inj.Quantum()
-		}
-		var executed uint64
-		m.SetQuantum(quantum, func() {
-			executed += quantum
-			if deadline > 0 && executed >= deadline {
-				panic(&core.DeadlineError{Uops: executed, Budget: deadline})
-			}
-			if inj != nil {
-				inj.Step(m)
-			}
-		})
-	}
 	return inj, setup
-}
-
-// runDataOf assembles the retained outcome of one execution (live or
-// replayed).
-func runDataOf(m *core.Machine, err error, injected []faultinject.Event) *RunData {
-	d := &RunData{Err: err, Injected: injected}
-	if m != nil {
-		d.Counters = m.C
-		d.Metrics = metrics.Compute(&m.C)
-		d.Topdown = topdown.Analyze(&m.C)
-		d.Heap = m.Heap.Stats()
-		d.Uops = m.Uops()
-		d.hasMachine = true
-	}
-	return d
-}
-
-// replayEligible reports whether this session may use the record-and-replay
-// fast path at all (supervised runs are additionally excluded per call).
-func (s *Session) replayEligible() bool {
-	return !replayDisabled.Load() && !s.NoReplay && !s.Check
 }
 
 // Prefetch fans the given pairs out across the worker pool and blocks

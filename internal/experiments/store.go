@@ -13,14 +13,16 @@ import (
 	"cherisim/internal/report"
 	"cherisim/internal/resultstore"
 	"cherisim/internal/soc"
+	"cherisim/internal/telemetry"
 	"cherisim/internal/topdown"
 	"cherisim/internal/workloads"
 )
 
 // This file wires the persistent result store (internal/resultstore)
-// through the session engine: Run consults it before simulating and
-// persists after, custom-machine kernels and soc co-runs get the same
-// treatment through RunKernel and CoRun, and MetricSnapshot feeds the
+// through the session engine: every simulation is addressed by a store
+// key, executed through Session.do and persisted as one entry, and the
+// public simulation methods are thin adapters that build a key and an
+// exec closure and decode the entry. MetricSnapshot feeds the
 // golden-baseline gate. The lockstep checker (-check) deliberately
 // bypasses store lookups — its purpose is re-executing under shadow
 // models, which a served entry would skip — while fresh results are still
@@ -59,22 +61,36 @@ func (s *Session) supervisorFingerprint() string {
 	return b.String()
 }
 
-// runStoreKey addresses one (workload, ABI) run of this session.
-func (s *Session) runStoreKey(w *workloads.Workload, a abi.ABI) resultstore.Key {
+// runStoreKey addresses one (workload, ABI) run of this session under its
+// effective configuration cfg.
+func (s *Session) runStoreKey(w *workloads.Workload, a abi.ABI, cfg core.Config) resultstore.Key {
 	return resultstore.Key{
 		Kind:       resultstore.KindRun,
 		Name:       w.Name,
 		ABI:        a.String(),
 		Scale:      s.Scale,
-		Config:     resultstore.ConfigFingerprint(s.effectiveConfig(a)),
+		Config:     resultstore.ConfigFingerprint(cfg),
 		Supervisor: s.supervisorFingerprint(),
 		Model:      resultstore.ModelFingerprint(),
 	}
 }
 
-// loadRun serves a run from the store; (nil, false) on miss, corruption or
-// when lookups are disabled. Hit/miss telemetry rides the observer.
-func (s *Session) loadRun(key resultstore.Key, obs *runObserver) (*RunData, bool) {
+// unitKey addresses a kernel or co-run: the caller's id, which must name
+// every parameter that shapes its behaviour, plus the fingerprint of the
+// machine configuration(s) it uses.
+func (s *Session) unitKey(kind, id, config string) resultstore.Key {
+	return resultstore.Key{
+		Kind:   kind,
+		Name:   id,
+		Scale:  s.Scale,
+		Config: config,
+		Model:  resultstore.ModelFingerprint(),
+	}
+}
+
+// load serves key from the store; false on a miss, on corruption or when
+// lookups are disabled. Hit/miss telemetry rides the observer.
+func (s *Session) load(key resultstore.Key, obs *runObserver) (*resultstore.Entry, bool) {
 	if !s.storeEnabled() {
 		return nil, false
 	}
@@ -84,27 +100,16 @@ func (s *Session) loadRun(key resultstore.Key, obs *runObserver) (*RunData, bool
 		return nil, false
 	}
 	obs.storeHit()
-	return runDataFromEntry(e), true
+	return e, true
 }
 
-// saveRun persists a finished run. Persistence is best-effort: a full disk
+// save persists a finished entry. Persistence is best-effort: a full disk
 // must degrade the store to a cache miss on the next campaign, never fail
 // the measurement that just completed — but the failure is counted
 // (store_write_errors, Stats.WriteErrors, the stderr store summary), so a
 // long-running service can see it is permanently cold instead of silently
 // re-simulating every campaign.
-func (s *Session) saveRun(key resultstore.Key, d *RunData, obs *runObserver) {
-	if s.Store == nil {
-		return
-	}
-	e := &resultstore.Entry{Key: key, Attempts: d.Attempts, Injected: d.Injected, Witness: d.Witness}
-	fillCoreResult(&e.CoreResult, &d.Counters, d.Heap, d.Uops, d.Err, d.hasMachine, nil)
-	s.storeSave(e, obs)
-}
-
-// storeSave persists one entry best-effort, counting (never raising)
-// failures. All engine persistence funnels through here.
-func (s *Session) storeSave(e *resultstore.Entry, obs *runObserver) {
+func (s *Session) save(e *resultstore.Entry, obs *runObserver) {
 	if err := s.Store.Save(e); err != nil {
 		obs.storeWriteError()
 	}
@@ -123,8 +128,9 @@ func fillCoreResult(r *resultstore.CoreResult, c *pmu.Counters, heap alloc.Stats
 }
 
 // runDataFromEntry rebuilds a RunData, recomputing the derived metrics
-// from the stored counters so a served result can never disagree with the
-// current formulas (a formula change bumps the model fingerprint anyway).
+// from the stored counters so a result can never disagree with the current
+// formulas (a formula change bumps the model fingerprint anyway). Executed
+// and store-served runs decode through the same path.
 func runDataFromEntry(e *resultstore.Entry) *RunData {
 	d := &RunData{
 		Attempts: e.Attempts,
@@ -138,7 +144,6 @@ func runDataFromEntry(e *resultstore.Entry) *RunData {
 		d.Topdown = topdown.Analyze(&c)
 		d.Heap = e.Heap
 		d.Uops = e.Uops
-		d.hasMachine = true
 	}
 	return d
 }
@@ -154,57 +159,40 @@ type KernelResult struct {
 	Revocations []core.RevocationStats
 }
 
-// RunKernel executes body on a fresh machine under cfg, riding the
-// session's result store: id must uniquely name the kernel including every
-// parameter that shapes its behaviour (the key also folds in cfg, the
-// session scale and the model fingerprint). Failed kernel runs are
-// returned as errors and never stored — they abort their experiment, so
-// there is no render path that needs a cached failure.
+// RunKernel executes body on a fresh machine under cfg on one worker slot:
+// id must uniquely name the kernel including every parameter that shapes
+// its behaviour (the key also folds in cfg, the session scale and the
+// model fingerprint). Failed kernel runs are returned as errors and never
+// stored — they abort their experiment, so there is no render path that
+// needs a cached failure.
 func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)) (*KernelResult, error) {
-	key := resultstore.Key{
-		Kind:   resultstore.KindKernel,
-		Name:   id,
-		Scale:  s.Scale,
-		Config: resultstore.ConfigFingerprint(cfg),
-		Model:  resultstore.ModelFingerprint(),
-	}
-	obs := s.campaignObserver()
-	if s.storeEnabled() {
-		if e, ok := s.Store.Load(key); ok {
-			obs.storeHit()
-			return kernelFromEntry(e), nil
+	key := s.unitKey(resultstore.KindKernel, id, resultstore.ConfigFingerprint(cfg))
+	e, err := s.do(key, 1, func(*telemetry.Span) (*resultstore.Entry, error) {
+		s.execs.Add(1)
+		m := core.NewMachine(cfg)
+		if setup := s.machineSetup(); setup != nil {
+			setup(m)
 		}
-		obs.storeMiss()
-	}
-
-	s.execs.Add(1)
-	m := core.NewMachine(cfg)
-	if setup := s.MachineSetup(); setup != nil {
-		setup(m)
-	}
-	if err := m.Run(body); err != nil {
+		if err := m.Run(body); err != nil {
+			return nil, err
+		}
+		e := &resultstore.Entry{Key: key}
+		fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, m.Revocations())
+		return e, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	e := &resultstore.Entry{Key: key}
-	fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, m.Revocations())
-	if s.Store != nil {
-		s.storeSave(e, obs)
-	}
-	return kernelFromEntry(e), nil
-}
-
-// Cycles returns the kernel's executed cycle count.
-func (r *KernelResult) Cycles() uint64 { return r.Counters.Get(pmu.CPU_CYCLES) }
-
-// kernelFromEntry rebuilds a KernelResult from its stored form.
-func kernelFromEntry(e *resultstore.Entry) *KernelResult {
 	r := &KernelResult{Heap: e.Heap, Uops: e.Uops, Revocations: e.Revocations}
 	if c, ok := e.CountersFile(); ok {
 		r.Counters = c
 		r.Metrics = metrics.Compute(&c)
 	}
-	return r
+	return r, nil
 }
+
+// Cycles returns the kernel's executed cycle count.
+func (r *KernelResult) Cycles() uint64 { return r.Counters.Get(pmu.CPU_CYCLES) }
 
 // CoRunCore is one core's outcome of a stored co-run.
 type CoRunCore struct {
@@ -215,79 +203,62 @@ type CoRunCore struct {
 	Err      error
 }
 
-// CoRun executes a shared-LLC co-run through the session's result store,
-// persisting the whole co-run as one unit (per-core results are only
-// meaningful together — they shaped each other through the shared cache).
-// id must uniquely name the co-run including its workload/parameter mix;
-// the key also folds in every core's configuration, in order. Like Run,
-// co-runs with failed cores are stored too: the unit is deterministic, so
-// a warm campaign reproduces the same per-core errors without simulating.
-// A spec-validation error (divergent LLC geometry) is returned before
-// anything executes or persists.
+// CoRun executes a shared-LLC co-run on the round-robin engine, which
+// runs one core at a time and so takes one worker slot. id must uniquely
+// name the co-run including its workload/parameter mix; the key also
+// folds in every core's configuration, in order. Like Run, co-runs with
+// failed cores are stored too: the unit is deterministic, so a warm
+// campaign reproduces the same per-core errors without simulating. A
+// spec-validation error (divergent LLC geometry) is returned before
+// anything persists.
 func (s *Session) CoRun(id string, specs []soc.CoreSpec) ([]CoRunCore, error) {
-	key := resultstore.Key{
-		Kind:   resultstore.KindCoRun,
-		Name:   id,
-		Scale:  s.Scale,
-		Config: coRunConfigKey(specs),
-		Model:  resultstore.ModelFingerprint(),
-	}
-	obs := s.campaignObserver()
-	if s.storeEnabled() {
-		if e, ok := s.Store.Load(key); ok && len(e.Cores) == len(specs) {
-			obs.storeHit()
-			return coRunFromEntry(e), nil
-		}
-		obs.storeMiss()
-	}
-
-	s.execs.Add(uint64(len(specs)))
-	s.wrapMachineSetup(specs)
-	res, err := soc.RunObserved(specs, s.Telemetry)
+	key := s.unitKey(resultstore.KindCoRun, id, coRunConfigKey(specs))
+	e, err := s.coRun(key, 1, specs, func() ([]soc.Result, *soc.FabricStats, error) {
+		res, err := soc.RunObserved(specs, s.Telemetry)
+		return res, nil, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	e := coRunEntry(key, res, nil)
-	if s.Store != nil {
-		s.storeSave(e, obs)
 	}
 	return coRunFromEntry(e), nil
 }
 
-// CoRunTopo executes a topology co-run (mesh/ring sliced-LLC fabric)
-// through the session's result store. Like CoRun, the whole co-run is one
+// CoRunTopo executes a topology co-run (mesh/ring sliced-LLC fabric). Its
+// cores run concurrently within every epoch, so it takes one worker slot
+// per core, up to the whole fleet. Like CoRun, the whole co-run is one
 // stored unit; the entry additionally carries the fabric's slice/link
 // accounting, and the topology fingerprint is folded into the key so a
-// fabric-parameter change re-runs instead of replaying stale results.
+// fabric-parameter change re-runs instead of serving stale results.
 func (s *Session) CoRunTopo(id string, topo soc.Topology, specs []soc.CoreSpec) ([]CoRunCore, *soc.FabricStats, error) {
 	topo = topo.WithDefaults()
-	key := resultstore.Key{
-		Kind:   resultstore.KindScale,
-		Name:   id,
-		Scale:  s.Scale,
-		Config: coRunConfigKey(specs) + "|" + topo.Fingerprint(),
-		Model:  resultstore.ModelFingerprint(),
-	}
-	obs := s.campaignObserver()
-	if s.storeEnabled() {
-		if e, ok := s.Store.Load(key); ok && len(e.Cores) == len(specs) && e.Fabric != nil {
-			obs.storeHit()
-			return coRunFromEntry(e), e.Fabric, nil
+	key := s.unitKey(resultstore.KindScale, id, coRunConfigKey(specs)+"|"+topo.Fingerprint())
+	e, err := s.coRun(key, len(specs), specs, func() ([]soc.Result, *soc.FabricStats, error) {
+		res, err := soc.RunTopologyObserved(topo, specs, s.Telemetry, s.sliceSetup())
+		if err != nil {
+			return nil, nil, err
 		}
-		obs.storeMiss()
-	}
-
-	s.execs.Add(uint64(len(specs)))
-	s.wrapMachineSetup(specs)
-	res, err := soc.RunTopologyObserved(topo, specs, s.Telemetry, s.sliceSetup())
+		return res.Cores, res.Fabric, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	e := coRunEntry(key, res.Cores, res.Fabric)
-	if s.Store != nil {
-		s.storeSave(e, obs)
-	}
 	return coRunFromEntry(e), e.Fabric, nil
+}
+
+// coRun executes one co-run engine invocation as a single stored unit on
+// `slots` worker slots: per-core results are only meaningful together —
+// they shaped each other through the shared cache.
+func (s *Session) coRun(key resultstore.Key, slots int, specs []soc.CoreSpec,
+	run func() ([]soc.Result, *soc.FabricStats, error)) (*resultstore.Entry, error) {
+	return s.do(key, slots, func(*telemetry.Span) (*resultstore.Entry, error) {
+		s.execs.Add(uint64(len(specs)))
+		s.wrapMachineSetup(specs)
+		res, fab, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return coRunEntry(key, res, fab), nil
+	})
 }
 
 // coRunConfigKey folds every core's configuration, in order, into one
@@ -303,7 +274,7 @@ func coRunConfigKey(specs []soc.CoreSpec) string {
 // wrapMachineSetup prepends the session's machine hook (lockstep shadows)
 // to every spec's Setup.
 func (s *Session) wrapMachineSetup(specs []soc.CoreSpec) {
-	setup := s.MachineSetup()
+	setup := s.machineSetup()
 	if setup == nil {
 		return
 	}

@@ -101,7 +101,7 @@ func TestCorruptedEntryResimulatedAndRewritten(t *testing.T) {
 	if d1.Err != nil {
 		t.Fatal(d1.Err)
 	}
-	path := cold.Store.Path(cold.runStoreKey(w, abi.Hybrid))
+	path := cold.Store.Path(cold.runStoreKey(w, abi.Hybrid, cold.effectiveConfig(abi.Hybrid)))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"cherisim/internal/abi"
 	"cherisim/internal/faultinject"
+	"cherisim/internal/resultstore"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/workloads"
 )
@@ -190,14 +191,15 @@ func TestChaosScheduleUnchangedByObservation(t *testing.T) {
 // with telemetry off (nil observer), plus the cached singleflight path.
 func disabledHotPathAllocs(s *Session, p Pair) float64 {
 	var obs *runObserver
-	d := &RunData{}
+	key := s.runStoreKey(p.Workload, p.ABI, s.effectiveConfig(p.ABI))
+	e := &resultstore.Entry{Key: key}
 	seq := testing.AllocsPerRun(200, func() {
 		obs.sfHit()
-		span := obs.runStart(p.Workload, p.ABI, 1, 0)
+		span := obs.runStart(key, 1, 0)
 		att := obs.attemptStart(span, 0)
 		_ = obs.injectObserver(att, 1)
-		obs.attemptEnd(att, d, false)
-		obs.runEnd(span, d, time.Duration(0))
+		obs.attemptEnd(att, e, nil, false)
+		obs.runEnd(span, e, nil, 1, time.Duration(0))
 		obs.experimentEnd(obs.experimentSpan(nil), nil, nil)
 		obs.finish()
 	})

@@ -39,13 +39,6 @@ type Workload struct {
 	// (iteration counts); data-structure sizes are fixed so cache and TLB
 	// behaviour is scale-independent once warmed.
 	Run func(m *core.Machine, scale int)
-	// Live marks workloads that must execute their kernel on every run:
-	// the session excludes them from the record-and-replay fast path the
-	// same way supervised (chaos/deadline/check) runs are. Attack-corpus
-	// kernels are Live — they trap mid-run under some ABIs and their
-	// machines are inspected post-run, neither of which a replayed event
-	// stream can reproduce.
-	Live bool
 	// Canary, when set, is the workload's corruption witness: invoked on
 	// the machine after the body finishes (normally or by fault), it
 	// re-derives the seeded checksum over the canary region the body
@@ -75,12 +68,11 @@ func register(w *Workload) *Workload {
 // internal/attacks): resolvable through ByName and runnable by tools and
 // the security experiment, but excluded from All()/Names() so the paper's
 // campaign grid and every -all artefact are untouched. Attack workloads
-// must carry a Canary witness and are forced Live.
+// must carry a Canary witness.
 func RegisterAttack(w *Workload) *Workload {
 	if w.Canary == nil {
 		panic(fmt.Sprintf("workloads: attack %q has no canary witness", w.Name))
 	}
-	w.Live = true
 	register(w)
 	hidden[w.Name] = true
 	return w
