@@ -188,9 +188,10 @@ func RunTemporalSafety(workload string, scale int) (*Result, []core.RevocationSt
 	return res, m.Revocations(), runErr
 }
 
-// CoRun co-runs the named workloads, one per simulated core, against the
-// shared 1 MiB system-level cache under ABI a (up to the Morello SoC's
-// four cores). Scheduling is deterministic round robin; results are
+// CoRun co-runs the named workloads, one per simulated core, under ABI a
+// (up to the Morello SoC's four cores) on the SoC fabric's default mesh
+// for that core count, whose address-interleaved slices form the shared
+// 1 MiB system-level cache. Co-runs are deterministic; results are
 // per-core, in input order. When a core faults, the error describes the
 // first faulting core and the returned slice still carries every core's
 // partial measurements (the faulting core's counters are finalized up to
@@ -210,13 +211,13 @@ func CoRun(names []string, a ABI, scale int) ([]*Result, error) {
 			Body:   func(m *Machine) { w.Run(m, scale) },
 		}
 	}
-	rs, err := soc.Run(specs)
+	res, err := soc.RunTopology(soc.Topology{Kind: soc.TopoMesh, Cores: len(specs)}, specs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Result, len(rs))
+	out := make([]*Result, len(res.Cores))
 	var firstErr error
-	for i, r := range rs {
+	for i, r := range res.Cores {
 		out[i], _ = resultOf(r.Machine, nil)
 		if r.Err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core %d (%s): %w", i, names[i], r.Err)

@@ -23,8 +23,8 @@ type CacheChecker struct {
 
 // AttachCache installs a lockstep checker behind c, which must be freshly
 // built (empty, zero stats) so the reference model starts in the same
-// state. A cache that already has a shadow — the shared LLC seen from a
-// second core, typically — is left alone and nil is returned.
+// state. A cache that already has a shadow is left alone and nil is
+// returned.
 func AttachCache(col *Collector, c *cache.Cache) *CacheChecker {
 	if c.Shadowed() {
 		return nil

@@ -50,10 +50,11 @@ func (m *Machine) dataPath(addr uint64, write bool) (hierLevel, uint64) {
 	return m.l2Path(addr, false)
 }
 
-// l2Path probes L2 then LLC then DRAM for a line fill or write-back. The
-// LLC may be shared between cores (see internal/soc); llcSalt disambiguates
-// the address spaces of co-running processes, and the machine counts its
-// own LLC activity so shared-cache statistics stay per core.
+// l2Path probes L2 then LLC then DRAM for a line fill or write-back. On a
+// co-run the LLC is the SoC fabric's shared slices behind llcPort (see
+// internal/soc); llcSalt disambiguates the address spaces of co-running
+// processes there, and the machine counts its own LLC activity so
+// shared-cache statistics stay per core.
 func (m *Machine) l2Path(addr uint64, write bool) (hierLevel, uint64) {
 	r2 := m.L2.Access(addr, write)
 	if r2.Hit {
@@ -79,12 +80,12 @@ func (m *Machine) l2Path(addr uint64, write bool) (hierLevel, uint64) {
 		return levelDRAM, lat
 	}
 	if r2.WriteBack {
-		m.LLC.Access(r2.WriteBackAddr|m.llcSalt, true)
+		m.LLC.Access(r2.WriteBackAddr, true)
 	}
 	if !write {
 		m.llcRdAcc++
 	}
-	r3 := m.LLC.Access(addr|m.llcSalt, write)
+	r3 := m.LLC.Access(addr, write)
 	if r3.Hit {
 		return levelLLC, m.Cfg.LLC.HitLatency
 	}

@@ -184,9 +184,10 @@ type Machine struct {
 	revokeThreshold uint64
 	revocations     []RevocationStats
 
-	// Shared-LLC support (see internal/soc): per-core LLC statistics and
-	// the address-space salt of co-running processes. llcPort, when set,
-	// diverts post-L2 traffic to an external sliced-LLC fabric.
+	// Shared-LLC support (see internal/soc): per-core LLC statistics.
+	// llcPort, when set, diverts post-L2 traffic to an external sliced-LLC
+	// fabric, salted with llcSalt, the address-space salt of co-running
+	// processes.
 	llcRdAcc, llcRdMiss uint64
 	llcSalt             uint64
 	llcPort             LLCPort
@@ -298,14 +299,6 @@ func coreSalt(coreID int) uint64 {
 	return uint64(coreID) << saltShift
 }
 
-// ShareLLC replaces the machine's last-level cache with a shared instance
-// and installs the core's address-space salt; used by internal/soc to
-// co-run machines on one system-level cache.
-func (m *Machine) ShareLLC(llc *cache.Cache, coreID int) {
-	m.LLC = llc
-	m.llcSalt = coreSalt(coreID)
-}
-
 // LLCPort is an external last-level-cache fabric: internal/soc's
 // topology-aware SoC routes the machine's post-L2 traffic through NoC
 // links to address-interleaved LLC slices. Access receives the salted
@@ -317,9 +310,10 @@ type LLCPort interface {
 }
 
 // ShareLLCPort diverts the machine's post-L2 traffic through an external
-// LLC fabric instead of the built-in m.LLC instance, installing the core's
-// address-space salt exactly as ShareLLC does. The machine still counts
-// its own LLC reads and read misses, so PMU statistics stay per core.
+// LLC fabric instead of the built-in m.LLC instance and installs the
+// core's address-space salt, so co-running processes never alias in the
+// shared slices. The machine still counts its own LLC reads and read
+// misses, so PMU statistics stay per core.
 func (m *Machine) ShareLLCPort(port LLCPort, coreID int) {
 	m.llcPort = port
 	m.llcSalt = coreSalt(coreID)

@@ -7,6 +7,14 @@ import (
 	"cherisim/internal/cache"
 )
 
+// cachePort is an LLCPort over one cache.Cache, standing in for a fabric
+// slice every core shares.
+type cachePort struct{ c *cache.Cache }
+
+func (p cachePort) Access(addr uint64, write bool) (bool, uint64) {
+	return p.c.Access(addr, write).Hit, 0
+}
+
 // TestShareLLCSaltCollisionFree is the regression test for the salt
 // overflow bug: the old scheme (coreID << 56) wrapped to zero at core 256,
 // so core 256 silently shared core 0's lines in the shared LLC. Two cores
@@ -16,8 +24,8 @@ func TestShareLLCSaltCollisionFree(t *testing.T) {
 	shared := cache.New(cache.LLCConfig)
 	m0 := New(abi.Hybrid)
 	m256 := New(abi.Hybrid)
-	m0.ShareLLC(shared, 0)
-	m256.ShareLLC(shared, 256)
+	m0.ShareLLCPort(cachePort{shared}, 0)
+	m256.ShareLLCPort(cachePort{shared}, 256)
 
 	if m0.llcSalt == m256.llcSalt {
 		t.Fatalf("cores 0 and 256 share the LLC salt %#x: salted address spaces collide", m0.llcSalt)
@@ -72,10 +80,10 @@ func TestShareLLCSaltRangeChecked(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ShareLLC accepted out-of-range coreID %d", id)
+					t.Errorf("ShareLLCPort accepted out-of-range coreID %d", id)
 				}
 			}()
-			New(abi.Hybrid).ShareLLC(cache.New(cache.LLCConfig), id)
+			New(abi.Hybrid).ShareLLCPort(cachePort{cache.New(cache.LLCConfig)}, id)
 		}()
 	}
 }

@@ -45,9 +45,10 @@ func TestFig1UnderCheckHasNoDivergences(t *testing.T) {
 }
 
 // TestMulticoreUnderCheckSharesShadows exercises the shared-LLC co-run
-// path: four cores feed one system-level cache, and the checker must
-// attach its LLC shadow exactly once while still verifying the private
-// L1/L2 and TLBs of every core.
+// path: four cores feed the slices of one system-level cache, and the
+// checker must shadow each LLC slice once, through the session's
+// sliceSetup, while still verifying the private L1/L2 and TLBs of every
+// core.
 func TestMulticoreUnderCheckSharesShadows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore co-run is slow")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,7 +185,7 @@ func TestCoRunTopoCountsAgainstFleet(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		topo := soc.Topology{Kind: soc.TopoMesh, Cores: cores}
-		if _, _, err := s.CoRunTopo("test/occupancy-corun", topo, specs); err != nil {
+		if _, _, err := s.CoRun("test/occupancy-corun", topo, specs); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -201,6 +202,49 @@ func TestCoRunTopoCountsAgainstFleet(t *testing.T) {
 	}
 }
 
+// TestCoRunExecutesWithinItsSlots: a 16-core co-run on a 2-slot fleet
+// never executes more than 2 cores at once, even with more host threads
+// free. Each core counts itself while it runs between yields, which fall
+// on every QuantumUops-th µop of an ALU-only body.
+func TestCoRunExecutesWithinItsSlots(t *testing.T) {
+	const slots, cores = 2, 16
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	s := NewSession(1)
+	s.SharePool(NewFleet(slots))
+
+	var active, peak atomic.Int32
+	enter := func() {
+		n := active.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		runtime.Gosched()
+	}
+	specs := make([]soc.CoreSpec, cores)
+	for i := range specs {
+		specs[i] = soc.CoreSpec{Config: core.DefaultConfig(abi.Hybrid), Body: func(m *core.Machine) {
+			m.Func("spin", 256, 32)
+			enter()
+			for u := 1; u <= 3*soc.QuantumUops; u++ {
+				if u%soc.QuantumUops == 0 {
+					active.Add(-1) // this µop yields
+					m.ALU(1)
+					enter()
+				} else {
+					m.ALU(1)
+				}
+			}
+			active.Add(-1)
+		}}
+	}
+	if _, _, err := s.CoRun("test/slot-bound", soc.Topology{Kind: soc.TopoMesh, Cores: cores}, specs); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > slots {
+		t.Fatalf("%d cores executed at once on a %d-slot fleet", p, slots)
+	}
+}
+
 // TestMultiSlotCoRunsDoNotDeadlock: two concurrent co-runs that each need
 // the whole fleet both finish — neither can hold part of the fleet while
 // waiting for the rest.
@@ -214,7 +258,7 @@ func TestMultiSlotCoRunsDoNotDeadlock(t *testing.T) {
 			for j := range specs {
 				specs[j] = soc.CoreSpec{Config: core.DefaultConfig(abi.Purecap), Body: busy}
 			}
-			_, _, err := s.CoRunTopo(fmt.Sprintf("test/deadlock-%d", i), soc.Topology{Kind: soc.TopoMesh, Cores: 16}, specs)
+			_, _, err := s.CoRun(fmt.Sprintf("test/deadlock-%d", i), soc.Topology{Kind: soc.TopoMesh, Cores: 16}, specs)
 			done <- err
 		}(i)
 	}

@@ -60,7 +60,7 @@ func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.Attributio
 	c := s.memoized(memoKey{workload: w.Name, abi: a, profile: true}, func(c *memoCell) {
 		cfg := s.effectiveConfig(a)
 		key := s.profileStoreKey(w, a, cfg)
-		e, err := s.do(key, 1, func(run *telemetry.Span) (*resultstore.Entry, error) {
+		e, err := s.do(key, 1, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
 			return s.profileOnce(key, w, a, cfg, run)
 		})
 		if err != nil {
@@ -90,7 +90,7 @@ func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.
 		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
 	}
 	e := &resultstore.Entry{Key: key, Attempts: 1, Profile: &prof}
-	fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, nil)
+	fillCoreResult(&e.CoreResult, m, nil, nil)
 	return e, nil
 }
 

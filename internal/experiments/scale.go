@@ -98,7 +98,7 @@ func runScale(s *Session) (string, error) {
 	// zero hops), so the slowdown ratio isolates interference.
 	solo := make(map[abi.ABI]float64, len(scaleABIs))
 	for _, a := range scaleABIs {
-		res, _, err := s.CoRunTopo(
+		res, _, err := s.CoRun(
 			fmt.Sprintf("scale/solo/%s/%s", scaleWorkload, a),
 			soc.Topology{Kind: soc.TopoMesh, Cores: 1},
 			specsFor(a, 1))
@@ -118,7 +118,7 @@ func runScale(s *Session) (string, error) {
 			for _, a := range scaleABIs {
 				topo := soc.Topology{Kind: tp, Cores: n}
 				id := fmt.Sprintf("scale/%s/%dx/%s/%s", tp, n, scaleWorkload, a)
-				res, fab, err := s.CoRunTopo(id, topo, specsFor(a, n))
+				res, fab, err := s.CoRun(id, topo, specsFor(a, n))
 				if err != nil {
 					return "", fmt.Errorf("%s: %w", id, err)
 				}

@@ -399,9 +399,10 @@ func (s *Session) FinishTelemetry() {
 // with the runs_*, run_wall_ms and pool_occupancy metrics and releases the
 // slots — in that order, so pool_occupancy never counts more slots than
 // the fleet has. exec receives the run span so supervised callers can hang
-// attempt spans beneath it. An exec error reaches every caller of the key
-// and is never persisted.
-func (s *Session) do(key resultstore.Key, slots int, exec func(run *telemetry.Span) (*resultstore.Entry, error)) (*resultstore.Entry, error) {
+// attempt spans beneath it, and the number of slots it holds so a
+// multi-core execution can bound its parallelism by them. An exec error
+// reaches every caller of the key and is never persisted.
+func (s *Session) do(key resultstore.Key, slots int, exec func(run *telemetry.Span, slots int) (*resultstore.Entry, error)) (*resultstore.Entry, error) {
 	s.mu.Lock()
 	fleet := s.pool()
 	obs := s.obs // built by pool() when telemetry is on
@@ -427,7 +428,7 @@ func (s *Session) do(key resultstore.Key, slots int, exec func(run *telemetry.Sp
 		t0 = time.Now()
 	}
 	run := obs.runStart(key, slots, ids[0])
-	c.entry, c.err = exec(run)
+	c.entry, c.err = exec(run, slots)
 	if c.err == nil {
 		s.save(c.entry, obs)
 	}
@@ -484,7 +485,7 @@ func (s *Session) Run(w *workloads.Workload, a abi.ABI) *RunData {
 	return s.memoized(memoKey{workload: w.Name, abi: a}, func(c *memoCell) {
 		cfg := s.effectiveConfig(a)
 		key := s.runStoreKey(w, a, cfg)
-		e, _ := s.do(key, 1, func(run *telemetry.Span) (*resultstore.Entry, error) {
+		e, _ := s.do(key, 1, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
 			return s.execute(key, w, a, cfg, run), nil
 		})
 		c.run = runDataFromEntry(e)
@@ -531,7 +532,7 @@ func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.
 		wr := w.Canary(m)
 		e.Witness = &wr
 	}
-	fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), err, true, nil)
+	fillCoreResult(&e.CoreResult, m, err, nil)
 	return e, err
 }
 

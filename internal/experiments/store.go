@@ -116,14 +116,11 @@ func (s *Session) save(e *resultstore.Entry, obs *runObserver) {
 }
 
 // fillCoreResult populates one stored machine outcome.
-func fillCoreResult(r *resultstore.CoreResult, c *pmu.Counters, heap alloc.Stats,
-	uops uint64, err error, machine bool, revs []core.RevocationStats) {
-	if machine {
-		r.SetCounters(c)
-		r.Heap = heap
-		r.Uops = uops
-		r.Revocations = revs
-	}
+func fillCoreResult(r *resultstore.CoreResult, m *core.Machine, err error, revs []core.RevocationStats) {
+	r.SetCounters(&m.C)
+	r.Heap = m.Heap.Stats()
+	r.Uops = m.Uops()
+	r.Revocations = revs
 	r.Error = resultstore.EncodeError(err)
 }
 
@@ -167,7 +164,7 @@ type KernelResult struct {
 // needs a cached failure.
 func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)) (*KernelResult, error) {
 	key := s.unitKey(resultstore.KindKernel, id, resultstore.ConfigFingerprint(cfg))
-	e, err := s.do(key, 1, func(*telemetry.Span) (*resultstore.Entry, error) {
+	e, err := s.do(key, 1, func(*telemetry.Span, int) (*resultstore.Entry, error) {
 		s.execs.Add(1)
 		m := core.NewMachine(cfg)
 		if setup := s.machineSetup(); setup != nil {
@@ -177,7 +174,7 @@ func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)
 			return nil, err
 		}
 		e := &resultstore.Entry{Key: key}
-		fillCoreResult(&e.CoreResult, &m.C, m.Heap.Stats(), m.Uops(), nil, true, m.Revocations())
+		fillCoreResult(&e.CoreResult, m, nil, m.Revocations())
 		return e, nil
 	})
 	if err != nil {
@@ -203,62 +200,36 @@ type CoRunCore struct {
 	Err      error
 }
 
-// CoRun executes a shared-LLC co-run on the round-robin engine, which
-// runs one core at a time and so takes one worker slot. id must uniquely
-// name the co-run including its workload/parameter mix; the key also
-// folds in every core's configuration, in order. Like Run, co-runs with
-// failed cores are stored too: the unit is deterministic, so a warm
-// campaign reproduces the same per-core errors without simulating. A
-// spec-validation error (divergent LLC geometry) is returned before
+// CoRun executes a co-run of specs on the SoC fabric topo as one stored
+// unit: per-core results are only meaningful together — they shaped each
+// other through the shared slices. Its cores run concurrently within every
+// epoch, so it takes one worker slot per core, up to the whole fleet, and
+// never executes more cores at once than the slots it holds. id must
+// uniquely name the co-run including its workload/parameter mix; the key
+// also folds in every core's configuration, in order, and the topology
+// fingerprint, so a fabric-parameter change re-runs instead of serving
+// stale results. The entry carries the fabric's slice/link accounting.
+// Like Run, co-runs with failed cores are stored too: the unit is
+// deterministic, so a warm campaign reproduces the same per-core errors
+// without simulating. A spec-validation error (an invalid topology, a spec
+// list that does not fill it, divergent LLC geometry) is returned before
 // anything persists.
-func (s *Session) CoRun(id string, specs []soc.CoreSpec) ([]CoRunCore, error) {
-	key := s.unitKey(resultstore.KindCoRun, id, coRunConfigKey(specs))
-	e, err := s.coRun(key, 1, specs, func() ([]soc.Result, *soc.FabricStats, error) {
-		res, err := soc.RunObserved(specs, s.Telemetry)
-		return res, nil, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return coRunFromEntry(e), nil
-}
-
-// CoRunTopo executes a topology co-run (mesh/ring sliced-LLC fabric). Its
-// cores run concurrently within every epoch, so it takes one worker slot
-// per core, up to the whole fleet. Like CoRun, the whole co-run is one
-// stored unit; the entry additionally carries the fabric's slice/link
-// accounting, and the topology fingerprint is folded into the key so a
-// fabric-parameter change re-runs instead of serving stale results.
-func (s *Session) CoRunTopo(id string, topo soc.Topology, specs []soc.CoreSpec) ([]CoRunCore, *soc.FabricStats, error) {
+func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]CoRunCore, *soc.FabricStats, error) {
 	topo = topo.WithDefaults()
-	key := s.unitKey(resultstore.KindScale, id, coRunConfigKey(specs)+"|"+topo.Fingerprint())
-	e, err := s.coRun(key, len(specs), specs, func() ([]soc.Result, *soc.FabricStats, error) {
-		res, err := soc.RunTopologyObserved(topo, specs, s.Telemetry, s.sliceSetup())
+	key := s.unitKey(resultstore.KindCoRun, id, coRunConfigKey(specs)+"|"+topo.Fingerprint())
+	e, err := s.do(key, len(specs), func(_ *telemetry.Span, slots int) (*resultstore.Entry, error) {
+		s.execs.Add(uint64(len(specs)))
+		s.wrapMachineSetup(specs)
+		res, err := soc.RunTopologyObserved(topo, specs, slots, s.Telemetry, s.sliceSetup())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res.Cores, res.Fabric, nil
+		return coRunEntry(key, res), nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return coRunFromEntry(e), e.Fabric, nil
-}
-
-// coRun executes one co-run engine invocation as a single stored unit on
-// `slots` worker slots: per-core results are only meaningful together —
-// they shaped each other through the shared cache.
-func (s *Session) coRun(key resultstore.Key, slots int, specs []soc.CoreSpec,
-	run func() ([]soc.Result, *soc.FabricStats, error)) (*resultstore.Entry, error) {
-	return s.do(key, slots, func(*telemetry.Span) (*resultstore.Entry, error) {
-		s.execs.Add(uint64(len(specs)))
-		s.wrapMachineSetup(specs)
-		res, fab, err := run()
-		if err != nil {
-			return nil, err
-		}
-		return coRunEntry(key, res, fab), nil
-	})
 }
 
 // coRunConfigKey folds every core's configuration, in order, into one
@@ -290,21 +261,10 @@ func (s *Session) wrapMachineSetup(specs []soc.CoreSpec) {
 }
 
 // coRunEntry builds the stored unit for a co-run's results.
-func coRunEntry(key resultstore.Key, res []soc.Result, fab *soc.FabricStats) *resultstore.Entry {
-	e := &resultstore.Entry{Key: key, Cores: make([]resultstore.CoreResult, len(res)), Fabric: fab}
-	for i, r := range res {
-		machine := r.Machine != nil
-		var c *pmu.Counters
-		var heap alloc.Stats
-		var uops uint64
-		if machine {
-			c = &r.Machine.C
-			heap = r.Machine.Heap.Stats()
-			uops = r.Machine.Uops()
-		} else {
-			c = &pmu.Counters{}
-		}
-		fillCoreResult(&e.Cores[i], c, heap, uops, r.Err, machine, nil)
+func coRunEntry(key resultstore.Key, res *soc.TopoResult) *resultstore.Entry {
+	e := &resultstore.Entry{Key: key, Cores: make([]resultstore.CoreResult, len(res.Cores)), Fabric: res.Fabric}
+	for i, r := range res.Cores {
+		fillCoreResult(&e.Cores[i], r.Machine, r.Err, nil)
 	}
 	return e
 }

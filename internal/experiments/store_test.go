@@ -328,9 +328,10 @@ func TestCoRunRoundTrips(t *testing.T) {
 		}
 		return out
 	}
+	topo := soc.Topology{Kind: soc.TopoMesh, Cores: 2}
 
 	cold := storeSession(t, dir)
-	r1, err := cold.CoRun("test/corun:x2", specs())
+	r1, _, err := cold.CoRun("test/corun:x2", topo, specs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestCoRunRoundTrips(t *testing.T) {
 	}
 
 	warm := storeSession(t, dir)
-	r2, err := warm.CoRun("test/corun:x2", specs())
+	r2, _, err := warm.CoRun("test/corun:x2", topo, specs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestCoRunTopoRoundTrips(t *testing.T) {
 	topo := soc.Topology{Kind: soc.TopoMesh, Cores: 4}
 
 	cold := storeSession(t, dir)
-	r1, f1, err := cold.CoRunTopo("test/topo:x4", topo, specs())
+	r1, f1, err := cold.CoRun("test/topo:x4", topo, specs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestCoRunTopoRoundTrips(t *testing.T) {
 	}
 
 	warm := storeSession(t, dir)
-	r2, f2, err := warm.CoRunTopo("test/topo:x4", topo, specs())
+	r2, f2, err := warm.CoRun("test/topo:x4", topo, specs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestCoRunTopoRoundTrips(t *testing.T) {
 
 	// Same id on a ring fabric must be a distinct unit, not a stale hit.
 	other := storeSession(t, dir)
-	if _, _, err := other.CoRunTopo("test/topo:x4", soc.Topology{Kind: soc.TopoRing, Cores: 4}, specs()); err != nil {
+	if _, _, err := other.CoRun("test/topo:x4", soc.Topology{Kind: soc.TopoRing, Cores: 4}, specs()); err != nil {
 		t.Fatal(err)
 	}
 	if st := other.StoreStats(); st.Hits != 0 || st.Writes != 1 {

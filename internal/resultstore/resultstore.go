@@ -50,14 +50,12 @@ const (
 	// KindKernel is one custom-machine kernel run (experiments that build
 	// machines outside the workload registry: sweeps, compartments).
 	KindKernel = "kernel"
-	// KindCoRun is one shared-LLC soc co-run, stored as a unit.
-	KindCoRun = "corun"
-	// KindScale is one topology co-run (mesh/ring sliced-LLC fabric),
+	// KindCoRun is one co-run on the SoC fabric (mesh/ring sliced LLC),
 	// stored as a unit: every core's counter file plus the fabric's
 	// slice/link accounting. The topology fingerprint is folded into
 	// Key.Config so a fabric-parameter change re-runs instead of
 	// replaying a different machine's results.
-	KindScale = "scale"
+	KindCoRun = "corun"
 	// KindProfile is one profiled (workload, ABI) run: the counter file
 	// plus the full per-function attribution profile. Profiled runs key
 	// separately from KindRun because they execute live with attribution
@@ -229,7 +227,7 @@ type Entry struct {
 	Injected []faultinject.Event `json:"injected,omitempty"`
 	// Cores holds the per-core results of a co-run unit.
 	Cores []CoreResult `json:"cores,omitempty"`
-	// Fabric holds the topology co-run accounting of a KindScale unit:
+	// Fabric holds the topology co-run accounting of a KindCoRun unit:
 	// the NoC shape plus per-slice, per-link and per-core fabric counters.
 	// It round-trips bit-exactly, so a warm scale render (including its
 	// reconciliation line) is byte-identical to the cold one.

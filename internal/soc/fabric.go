@@ -3,7 +3,6 @@ package soc
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -76,7 +75,7 @@ type LinkStats struct {
 }
 
 // FabricStats is the fabric's complete post-run accounting, persisted with
-// scale units in the result store and rendered by the scale experiment.
+// co-run units in the result store and rendered by the scale experiment.
 type FabricStats struct {
 	Topology Topology          `json:"topology"`
 	Epochs   uint64            `json:"epochs"`
@@ -232,9 +231,10 @@ type fabric struct {
 	sliceBits uint
 	sliceMask uint64
 
-	slices []*llcSlice
-	ports  []*Port
-	epochs uint64
+	slices  []*llcSlice
+	ports   []*Port
+	epochs  uint64
+	workers int // weave goroutines, at most one per slice
 
 	// Per-epoch scratch (touched-list reset) and cumulative link counters,
 	// indexed like geo.links.
@@ -246,8 +246,9 @@ type fabric struct {
 }
 
 // newFabric compiles the topology and builds slices and ports. sliceCfg
-// is the per-slice cache geometry (see Topology.SliceCacheConfig).
-func newFabric(topo Topology, sliceCfg cache.Config, specs []CoreSpec) *fabric {
+// is the per-slice cache geometry (see Topology.SliceCacheConfig); workers
+// bounds the goroutines that weave the slices at a barrier.
+func newFabric(topo Topology, sliceCfg cache.Config, specs []CoreSpec, workers int) *fabric {
 	geo := compile(topo)
 	f := &fabric{
 		topo:           topo,
@@ -257,6 +258,7 @@ func newFabric(topo Topology, sliceCfg cache.Config, specs []CoreSpec) *fabric {
 		sliceMask:      uint64(topo.Slices - 1),
 		slices:         make([]*llcSlice, topo.Slices),
 		ports:          make([]*Port, topo.Cores),
+		workers:        min(workers, topo.Slices),
 		sliceTotals:    make([]uint64, topo.Slices),
 		linkTotals:     make([]uint64, len(geo.links)),
 		linkTraversals: make([]uint64, len(geo.links)),
@@ -358,19 +360,15 @@ func (f *fabric) weave(charge func(core int, cycles float64)) {
 	f.epochs++
 
 	// Parallel slice merges: slices are independent, so any worker count
-	// (bounded by GOMAXPROCS) yields the same state.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(f.slices) {
-		workers = len(f.slices)
-	}
-	if workers <= 1 {
+	// yields the same state.
+	if f.workers <= 1 {
 		for s := range f.slices {
 			f.mergeSlice(s)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 0; w < f.workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

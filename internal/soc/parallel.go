@@ -2,6 +2,7 @@ package soc
 
 import (
 	"fmt"
+	"runtime"
 
 	"cherisim/internal/cache"
 	"cherisim/internal/core"
@@ -23,20 +24,21 @@ type TopoResult struct {
 // byte-identical for any GOMAXPROCS: the bound phase prices each access
 // against state frozen at the last barrier plus the core's own epoch
 // traffic, so no core ever observes another core's in-flight progress.
+// Up to GOMAXPROCS cores execute at once.
 func RunTopology(topo Topology, specs []CoreSpec) (*TopoResult, error) {
-	return RunTopologyObserved(topo, specs, nil, nil)
+	return RunTopologyObserved(topo, specs, runtime.GOMAXPROCS(0), nil, nil)
 }
 
-// RunTopologyObserved is RunTopology with telemetry and an optional
-// per-slice setup hook (the lockstep checker attaches slice shadows
-// through it; it runs before any core executes). A nil hub and nil
-// sliceSetup are exactly RunTopology.
-func RunTopologyObserved(topo Topology, specs []CoreSpec, hub *telemetry.Hub,
+// RunTopologyObserved is RunTopology with a worker bound, telemetry and an
+// optional per-slice setup hook (the lockstep checker attaches slice
+// shadows through it; it runs before any core executes). At most workers
+// cores execute at any instant and at most workers goroutines weave the
+// slices at a barrier (values below 1 mean 1); the bound changes how fast
+// a co-run finishes, never its results. A nil hub and nil sliceSetup with
+// workers = GOMAXPROCS are exactly RunTopology.
+func RunTopologyObserved(topo Topology, specs []CoreSpec, workers int, hub *telemetry.Hub,
 	sliceSetup func(slice int, c *cache.Cache)) (*TopoResult, error) {
 	topo = topo.WithDefaults()
-	if topo.Cores == 0 {
-		topo.Cores = len(specs)
-	}
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,9 +49,10 @@ func RunTopologyObserved(topo Topology, specs []CoreSpec, hub *telemetry.Hub,
 	if err != nil {
 		return nil, err
 	}
+	workers = max(1, workers)
 
 	n := topo.Cores
-	fab := newFabric(topo, sliceCfg, specs)
+	fab := newFabric(topo, sliceCfg, specs, workers)
 	if sliceSetup != nil {
 		for s, sl := range fab.slices {
 			sliceSetup(s, sl.cache)
@@ -80,6 +83,10 @@ func RunTopologyObserved(topo Topology, specs []CoreSpec, hub *telemetry.Hub,
 		yield  chan bool // true = finished
 	}
 	states := make([]*coreState, n)
+	// running holds one token per executing core: a core takes a token
+	// after every resume and returns it before every yield, so at most
+	// workers cores execute at once however many the epoch released.
+	running := make(chan struct{}, workers)
 
 	for i, spec := range specs {
 		st := &coreState{resume: make(chan struct{}), yield: make(chan bool)}
@@ -90,33 +97,36 @@ func RunTopologyObserved(topo Topology, specs []CoreSpec, hub *telemetry.Hub,
 			spec.Setup(m)
 		}
 		m.SetQuantum(QuantumUops, func() {
+			<-running
 			st.yield <- false
 			<-st.resume
+			running <- struct{}{}
 		})
 		machines[i] = m
 		results[i].Machine = m
 		body := spec.Body
 		go func(i int) {
 			<-st.resume
-			// Containment (as in the round-robin scheduler): a panic
-			// escaping Machine.Run must still yield the epoch token, or
-			// the barrier deadlocks and one bad core takes down the
-			// whole co-run.
+			running <- struct{}{}
+			// Containment: a panic escaping Machine.Run must still return
+			// its token and yield, or the barrier deadlocks and one bad
+			// core takes down the whole co-run.
 			defer func() {
 				if r := recover(); r != nil {
 					results[i].Err = &core.PanicError{Value: r, Uops: m.Uops()}
 				}
+				<-running
 				st.yield <- true
 			}()
 			results[i].Err = m.Run(body)
 		}(i)
 	}
 
-	// Epoch loop: release every live core (bound phase, truly concurrent),
-	// wait for all of them at the barrier, weave, then retire finished
-	// cores. A core that finished or panicked mid-epoch still has its
-	// buffered events woven — they happened — but is no longer charged
-	// contention (its counters are finalized).
+	// Epoch loop: release every live core (bound phase, concurrent up to
+	// the worker bound), wait for all of them at the barrier, weave, then
+	// retire finished cores. A core that finished or panicked mid-epoch
+	// still has its buffered events woven — they happened — but is no
+	// longer charged contention (its counters are finalized).
 	alive := make([]bool, n)
 	chargeable := make([]bool, n)
 	finishedNow := make([]int, 0, n)

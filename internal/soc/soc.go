@@ -1,9 +1,13 @@
-// Package soc co-runs multiple simulated Morello cores against one shared
-// system-level cache, extending the paper's single-core methodology to the
-// multiprogrammed case the quad-core Morello SoC supports (§2.2 describes
-// the 1 MB LL cache shared by all four cores; the paper disabled SMT and
-// measured one core at a time). Cores execute in deterministic round-robin
-// time quanta, so co-run results are exactly reproducible.
+// Package soc co-runs multiple simulated Morello cores on a topology-aware
+// SoC fabric: a mesh or ring network-on-chip whose nodes hold the cores and
+// the address-interleaved slices of one shared system-level cache. It
+// extends the paper's single-core methodology to the multiprogrammed case
+// the quad-core Morello SoC supports (§2.2 describes the 1 MB LL cache
+// shared by all four cores; the paper disabled SMT and measured one core at
+// a time) and on to many-core fabrics. Cores execute one quantum per epoch
+// concurrently and their LLC traffic is merged at every epoch barrier in a
+// fixed order, so co-run results are exactly reproducible at any host
+// parallelism.
 package soc
 
 import (
@@ -11,15 +15,14 @@ import (
 
 	"cherisim/internal/cache"
 	"cherisim/internal/core"
-	"cherisim/internal/telemetry"
 )
 
 // CoreSpec describes one core's configuration and workload body.
 type CoreSpec struct {
 	Config core.Config
 	Body   func(*core.Machine)
-	// Setup, when set, runs on the freshly built machine after the shared
-	// LLC is attached and before the core executes anything (the lockstep
+	// Setup, when set, runs on the freshly built machine after its fabric
+	// port is attached and before the core executes anything (the lockstep
 	// checker hooks in here). It must not install a quantum hook — the
 	// scheduler owns that.
 	Setup func(*core.Machine)
@@ -33,15 +36,14 @@ type Result struct {
 }
 
 // QuantumUops is the scheduling quantum: each core executes this many µops
-// before the next core runs. Small enough that cache interleaving is
-// realistic, large enough to keep scheduling overhead negligible.
+// per epoch. Small enough that cache interleaving is realistic, large
+// enough to keep scheduling overhead negligible.
 const QuantumUops = 8192
 
 // GeometryError reports co-run specs that disagree on the shared LLC
-// geometry: the shared cache is one physical structure, so every core must
-// describe it identically (an ablation that resizes the LLC must resize it
-// for all cores). Core 0's configuration is the reference, matching the
-// cache the scheduler would have built.
+// geometry: the slices are carved from one physical structure, so every
+// core must describe it identically (an ablation that resizes the LLC must
+// resize it for all cores). Core 0's configuration is the reference.
 type GeometryError struct {
 	Core      int          // first core whose LLC config diverges
 	Want, Got cache.Config // core 0's geometry vs the divergent one
@@ -64,126 +66,4 @@ func validateLLCGeometry(specs []CoreSpec) error {
 		}
 	}
 	return nil
-}
-
-// Run co-runs the specs on a shared LLC and returns per-core results. The
-// scheduler is a deterministic round robin: core 0 runs one quantum, then
-// core 1, and so on; finished cores drop out. Only one core executes at
-// any instant, so the shared cache needs no locking and results are
-// bit-reproducible. Specs whose LLC geometries disagree are rejected with
-// a *GeometryError before anything executes.
-func Run(specs []CoreSpec) ([]Result, error) { return RunObserved(specs, nil) }
-
-// RunObserved is Run with telemetry: the co-run becomes a "corun" span
-// with one child span per core on its own trace track, scheduling quanta
-// feed the soc_quanta_scheduled counter, and per-core outcomes are stamped
-// as span attributes. A nil hub is exactly Run — observation rides the
-// scheduler loop, never the cores, so results are unchanged either way.
-func RunObserved(specs []CoreSpec, hub *telemetry.Hub) ([]Result, error) {
-	if err := validateLLCGeometry(specs); err != nil {
-		return nil, err
-	}
-	n := len(specs)
-	results := make([]Result, n)
-	if n == 0 {
-		return results, nil
-	}
-
-	var reg *telemetry.Registry
-	var col *telemetry.Collector
-	if hub.Enabled() {
-		reg, col = hub.Metrics, hub.Spans
-	}
-	corun := hub.Start("corun")
-	corun.Attr("cores", n)
-	quanta := reg.Counter("soc_quanta_scheduled")
-	reg.Counter("soc_coruns").Inc()
-	coreSpans := make([]*telemetry.Span, n)
-	for i := 0; i < n; i++ {
-		coreSpans[i] = corun.Child(fmt.Sprintf("core-%d", i)).
-			SetTrack(col.Track(fmt.Sprintf("soc-core-%d", i)))
-	}
-
-	sharedLLC := cache.New(specs[0].Config.LLC)
-
-	type coreState struct {
-		resume chan struct{}
-		yield  chan bool // true = finished
-	}
-	states := make([]*coreState, n)
-
-	for i, spec := range specs {
-		st := &coreState{resume: make(chan struct{}), yield: make(chan bool)}
-		states[i] = st
-		m := core.NewMachine(spec.Config)
-		m.ShareLLC(sharedLLC, i)
-		if spec.Setup != nil {
-			spec.Setup(m)
-		}
-		m.SetQuantum(QuantumUops, func() {
-			st.yield <- false
-			<-st.resume
-		})
-		results[i].Machine = m
-		body := spec.Body
-		go func(i int) {
-			<-st.resume
-			// Containment: Machine.Run already converts panics into
-			// structured errors, but a panic escaping anyway (e.g. from a
-			// misbehaving quantum hook) must still yield the scheduling
-			// token, or the round-robin scheduler deadlocks and one bad
-			// core takes down the whole co-run.
-			defer func() {
-				if r := recover(); r != nil {
-					results[i].Err = &core.PanicError{Value: r, Uops: m.Uops()}
-				}
-				st.yield <- true
-			}()
-			results[i].Err = m.Run(body)
-		}(i)
-	}
-
-	// Deterministic round robin until every core finishes. The scheduler
-	// goroutine owns every span: core spans end at the yield that retires
-	// the core, so their intervals cover exactly the core's scheduled life.
-	alive := make([]bool, n)
-	remaining := n
-	for i := range alive {
-		alive[i] = true
-	}
-	for remaining > 0 {
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
-			states[i].resume <- struct{}{}
-			quanta.Inc()
-			if done := <-states[i].yield; done {
-				alive[i] = false
-				remaining--
-				if sp := coreSpans[i]; sp != nil {
-					sp.Attr("uops", results[i].Machine.Uops())
-					if results[i].Err != nil {
-						sp.Attr("err", results[i].Err.Error())
-					}
-					sp.End()
-				}
-			}
-		}
-	}
-	corun.End()
-	return results, nil
-}
-
-// RunWorkloads is a convenience wrapper co-running named workload bodies
-// under one ABI configuration per core.
-func RunWorkloads(cfgs []core.Config, bodies []func(*core.Machine)) ([]Result, error) {
-	if len(cfgs) != len(bodies) {
-		return nil, fmt.Errorf("soc: %d configs for %d bodies", len(cfgs), len(bodies))
-	}
-	specs := make([]CoreSpec, len(cfgs))
-	for i := range cfgs {
-		specs[i] = CoreSpec{Config: cfgs[i], Body: bodies[i]}
-	}
-	return Run(specs)
 }

@@ -1,36 +1,33 @@
 package soc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
-	"cherisim/internal/abi"
-	"cherisim/internal/core"
 	"cherisim/internal/telemetry"
 )
 
-// TestCoRunTelemetrySpans asserts an observed co-run records the corun
-// span with one child span per core on its own track, counts scheduling
-// quanta, and — the determinism contract — produces bit-identical machine
-// counters to an unobserved co-run.
+// TestCoRunTelemetrySpans asserts an observed co-run records the
+// topo-corun span with one child span per core on its own track, counts
+// the co-run and its scheduling quanta, and — the determinism contract —
+// produces bit-identical counters and fabric accounting to an unobserved
+// co-run.
 func TestCoRunTelemetrySpans(t *testing.T) {
-	specs := func() []CoreSpec {
-		return []CoreSpec{
-			{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(256<<10, 20000)},
-			{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(256<<10, 20000)},
-		}
-	}
-	plain := mustRun(t, specs())
-
-	hub := telemetry.New()
-	observed, err := RunObserved(specs(), hub)
+	topo := Topology{Kind: TopoMesh, Cores: 2}
+	specs := func() []CoreSpec { return topoSpecs(2, streamBody(256<<10, 20000)) }
+	plain, err := RunTopology(topo, specs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plain {
-		if plain[i].Machine.C != observed[i].Machine.C {
-			t.Fatalf("core %d counters diverged under observation", i)
-		}
+
+	hub := telemetry.New()
+	observed, err := RunTopologyObserved(topo, specs(), runtime.GOMAXPROCS(0), hub, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topoFingerprint(plain) != topoFingerprint(observed) {
+		t.Fatal("counters diverged under observation")
 	}
 
 	spans := hub.Spans.Snapshot()
@@ -38,12 +35,12 @@ func TestCoRunTelemetrySpans(t *testing.T) {
 	var corunID uint64
 	cores := 0
 	for _, sp := range spans {
-		if sp.Name == "corun" {
+		if sp.Name == "topo-corun" {
 			corunID = sp.ID
 		}
 	}
 	if corunID == 0 {
-		t.Fatal("corun span missing")
+		t.Fatal("topo-corun span missing")
 	}
 	for _, sp := range spans {
 		if !strings.HasPrefix(sp.Name, "core-") {
@@ -51,17 +48,17 @@ func TestCoRunTelemetrySpans(t *testing.T) {
 		}
 		cores++
 		if sp.Parent != corunID {
-			t.Fatalf("%s parented to %d, want corun %d", sp.Name, sp.Parent, corunID)
+			t.Fatalf("%s parented to %d, want topo-corun %d", sp.Name, sp.Parent, corunID)
 		}
-		if !strings.HasPrefix(tracks[sp.Track], "soc-core-") {
-			t.Fatalf("%s on track %q, want a soc core track", sp.Name, tracks[sp.Track])
+		if want := "soc-" + sp.Name; tracks[sp.Track] != want {
+			t.Fatalf("%s on track %q, want %q", sp.Name, tracks[sp.Track], want)
 		}
 	}
 	if cores != 2 {
 		t.Fatalf("%d core spans, want 2", cores)
 	}
-	if hub.Metrics.Counter("soc_coruns").Value() != 1 {
-		t.Fatal("soc_coruns not counted")
+	if hub.Metrics.Counter("soc_topo_coruns").Value() != 1 {
+		t.Fatal("soc_topo_coruns not counted")
 	}
 	if hub.Metrics.Counter("soc_quanta_scheduled").Value() < 2 {
 		t.Fatal("scheduling quanta not counted")

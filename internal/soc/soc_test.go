@@ -10,13 +10,18 @@ import (
 	"cherisim/internal/workloads"
 )
 
-// mustRun runs specs through the round-robin scheduler, failing the test
-// on a spec-validation error.
-func mustRun(t *testing.T, specs []CoreSpec) []Result {
+// runMesh co-runs specs on the fabric's default mesh for their core count,
+// failing the test on a spec-validation error or a failed core.
+func runMesh(t *testing.T, specs []CoreSpec) *TopoResult {
 	t.Helper()
-	res, err := Run(specs)
+	res, err := RunTopology(Topology{Kind: TopoMesh, Cores: len(specs)}, specs)
 	if err != nil {
-		t.Fatalf("soc.Run: %v", err)
+		t.Fatalf("RunTopology: %v", err)
+	}
+	for i, r := range res.Cores {
+		if r.Err != nil {
+			t.Fatalf("core %d: %v", i, r.Err)
+		}
 	}
 	return res
 }
@@ -38,47 +43,18 @@ func streamBody(bufBytes uint64, accesses int) func(*core.Machine) {
 	}
 }
 
-func TestSoloRun(t *testing.T) {
-	res := mustRun(t, []CoreSpec{{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(256<<10, 20000)}})
-	if len(res) != 1 || res[0].Err != nil {
-		t.Fatalf("solo run failed: %+v", res)
-	}
-	if res[0].Machine.Cycles() == 0 {
-		t.Fatal("no cycles")
-	}
-}
-
-func TestDeterministicCoRun(t *testing.T) {
-	run := func() [2]pmu.Counters {
-		res := mustRun(t, []CoreSpec{
-			{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(512<<10, 20000)},
-			{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(512<<10, 20000)},
-		})
-		return [2]pmu.Counters{res[0].Machine.C, res[1].Machine.C}
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatal("co-run not deterministic")
-	}
-}
-
 func TestLLCContentionSlowsCoRunners(t *testing.T) {
-	// Solo: a 1.5 MiB working set exceeds the private 1 MiB L2, so ~0.5 MiB
-	// of each pass is served by the LLC, which holds it comfortably.
-	solo := mustRun(t, []CoreSpec{{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(1536<<10, 60000)}})
-	soloCycles := solo[0].Machine.Cycles()
+	// Solo on a 1-core fabric: a 1.5 MiB working set exceeds the private
+	// 1 MiB L2, so ~0.5 MiB of each pass is served by the one 1 MiB slice,
+	// which holds it comfortably.
+	solo := runMesh(t, topoSpecs(1, streamBody(1536<<10, 60000)))
+	soloCycles := solo.Cores[0].Machine.Cycles()
 
-	// Co-run four of them: the combined L2 spill (4 x ~0.5 MiB) thrashes
-	// the 1 MiB shared LLC; each core must slow down.
-	specs := make([]CoreSpec, 4)
-	for i := range specs {
-		specs[i] = CoreSpec{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(1536<<10, 60000)}
-	}
-	co := mustRun(t, specs)
-	for i, r := range co {
-		if r.Err != nil {
-			t.Fatalf("core %d: %v", i, r.Err)
-		}
+	// Four of them on the quad-core 2x2 mesh: the combined L2 spill
+	// (4 x ~0.5 MiB) thrashes the four 256 KiB slices of the 1 MiB LLC;
+	// each core must slow down.
+	co := runMesh(t, topoSpecs(4, streamBody(1536<<10, 60000)))
+	for i, r := range co.Cores {
 		ratio := float64(r.Machine.Cycles()) / float64(soloCycles)
 		if ratio < 1.02 {
 			t.Errorf("core %d: co-run/solo = %.3f, want visible LLC contention", i, ratio)
@@ -87,8 +63,10 @@ func TestLLCContentionSlowsCoRunners(t *testing.T) {
 }
 
 func TestAddressSpacesIsolated(t *testing.T) {
-	// Two cores writing the same virtual addresses must not alias in the
-	// shared LLC (distinct salts = distinct physical mappings).
+	// Cores touching the same virtual addresses must not alias in the
+	// shared slices (distinct salts = distinct physical mappings): two
+	// cores running one body fill exactly twice the lines one core fills
+	// alone.
 	body := func(m *core.Machine) {
 		m.Func("w", 512, 64)
 		p := m.Alloc(4096)
@@ -97,14 +75,16 @@ func TestAddressSpacesIsolated(t *testing.T) {
 			panic("corrupted")
 		}
 	}
-	res := mustRun(t, []CoreSpec{
-		{Config: core.DefaultConfig(abi.Purecap), Body: body},
-		{Config: core.DefaultConfig(abi.Purecap), Body: body},
-	})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Errorf("core %d: %v", i, r.Err)
+	refills := func(cores int) uint64 {
+		var n uint64
+		for _, s := range runMesh(t, topoSpecs(cores, body)).Fabric.Slices {
+			n += s.Refills
 		}
+		return n
+	}
+	solo, co := refills(1), refills(2)
+	if solo == 0 || co != 2*solo {
+		t.Fatalf("two cores filled %d slice lines, want twice the %d one core fills", co, solo)
 	}
 }
 
@@ -117,47 +97,14 @@ func TestCoRunRealWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustRun(t, []CoreSpec{
+	res := runMesh(t, []CoreSpec{
 		{Config: core.DefaultConfig(abi.Purecap), Body: func(m *core.Machine) { omnet.Run(m, 1) }},
 		{Config: core.DefaultConfig(abi.Purecap), Body: func(m *core.Machine) { llama.Run(m, 1) }},
 	})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("core %d: %v", i, r.Err)
-		}
+	for i, r := range res.Cores {
 		if r.Machine.C.Get(pmu.INST_RETIRED) == 0 {
 			t.Errorf("core %d did no work", i)
 		}
-	}
-}
-
-func TestRunWorkloadsValidation(t *testing.T) {
-	if _, err := RunWorkloads(make([]core.Config, 2), make([]func(*core.Machine), 1)); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-}
-
-func TestCoRunPanicContained(t *testing.T) {
-	// One core panics mid-run with a non-Fault value; the round-robin
-	// scheduler must not deadlock, the panic must surface as a structured
-	// error, and the healthy core must finish its work.
-	res := mustRun(t, []CoreSpec{
-		{Config: core.DefaultConfig(abi.Hybrid), Body: func(m *core.Machine) {
-			m.Func("bad", 512, 64)
-			m.ALU(100)
-			panic("co-run boom")
-		}},
-		{Config: core.DefaultConfig(abi.Hybrid), Body: streamBody(256<<10, 20000)},
-	})
-	var pe *core.PanicError
-	if !errors.As(res[0].Err, &pe) || pe.Value != "co-run boom" {
-		t.Fatalf("core 0: want contained *core.PanicError, got %v", res[0].Err)
-	}
-	if res[1].Err != nil {
-		t.Fatalf("healthy core failed: %v", res[1].Err)
-	}
-	if res[1].Machine.C.Get(pmu.INST_RETIRED) == 0 {
-		t.Fatal("healthy core did no work")
 	}
 }
 
@@ -168,9 +115,6 @@ func TestCoRunPanicContained(t *testing.T) {
 // *GeometryError naming the divergent core, before anything executes.
 func TestRunRejectsDivergentLLCGeometry(t *testing.T) {
 	body := streamBody(64<<10, 100)
-	base := func() CoreSpec {
-		return CoreSpec{Config: core.DefaultConfig(abi.Hybrid), Body: body}
-	}
 	cases := []struct {
 		name     string
 		mutate   func(*CoreSpec)
@@ -184,13 +128,13 @@ func TestRunRejectsDivergentLLCGeometry(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			specs := []CoreSpec{base(), base(), base(), base()}
+			specs := topoSpecs(4, body)
 			if tc.mutate != nil {
 				tc.mutate(&specs[1])
 			} else {
 				specs[3].Config.LLC.SizeBytes /= 2
 			}
-			_, err := Run(specs)
+			_, err := RunTopology(Topology{Kind: TopoMesh, Cores: 4}, specs)
 			var ge *GeometryError
 			if !errors.As(err, &ge) {
 				t.Fatalf("divergent LLC geometry accepted (err = %v)", err)
@@ -202,14 +146,9 @@ func TestRunRejectsDivergentLLCGeometry(t *testing.T) {
 	}
 
 	// Agreeing specs still run: ablated geometry is fine when shared by all.
-	specs := []CoreSpec{base(), base()}
+	specs := topoSpecs(2, body)
 	for i := range specs {
 		specs[i].Config.LLC.SizeBytes = 512 << 10
 	}
-	res := mustRun(t, specs)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("core %d: %v", i, r.Err)
-		}
-	}
+	runMesh(t, specs)
 }

@@ -1,11 +1,11 @@
-// Topology-aware SoC scale-out: this file describes the network-on-chip
-// fabric — how cores and address-interleaved LLC slices are arranged on a
-// mesh or ring, how requests route between them, and how per-epoch slice
-// and link capacities price contention. The quad-core Morello SoC the
-// paper measures has no NoC worth modelling (one shared 1 MB LLC, §2.2);
-// the topology engine extends the methodology to the datacenter core
-// counts ROADMAP item 3 targets, where tag/bounds traffic crosses a real
-// interconnect.
+// Topology-aware SoC fabric: this file describes the network-on-chip —
+// how cores and address-interleaved LLC slices are arranged on a mesh or
+// ring, how requests route between them, and how per-epoch slice and link
+// capacities price contention. The quad-core Morello SoC the paper
+// measures (one shared 1 MB LLC, §2.2) is the fabric's default for four
+// cores: a 2x2 mesh with four 256 KiB slices. Larger fabrics extend the
+// methodology to datacenter core counts, where tag/bounds traffic crosses
+// a real interconnect.
 
 package soc
 
@@ -126,7 +126,7 @@ func (t Topology) Validate() error {
 }
 
 // Fingerprint canonically encodes everything about the topology that
-// shapes results — the result store folds it into scale-unit keys.
+// shapes results — the result store folds it into co-run keys.
 func (t Topology) Fingerprint() string {
 	return fmt.Sprintf("%s:c%d:s%d:h%d:sc%d:lc%d:q%d",
 		t.Kind, t.Cores, t.Slices, t.HopLatency, t.SliceCapacity, t.LinkCapacity, t.QueuePenalty)

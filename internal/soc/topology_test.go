@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,8 +48,7 @@ func TestTopologyValidation(t *testing.T) {
 			if err := topo.Validate(); !errors.As(err, &te) {
 				t.Fatalf("Validate() = %v, want *TopologyError", err)
 			}
-			// The run entry point must reject it too. (Cores == 0 derives
-			// the count from the spec list, so pass an empty one.)
+			// The run entry point must reject it too.
 			if _, err := RunTopology(tc.topo, topoSpecs(max(tc.topo.Cores, 0), func(m *core.Machine) {})); err == nil {
 				t.Fatal("RunTopology accepted an invalid topology")
 			}
@@ -65,6 +65,11 @@ func TestTopologySpecMismatchRejected(t *testing.T) {
 	var te *TopologyError
 	if _, err := RunTopology(topo, topoSpecs(3, func(m *core.Machine) {})); !errors.As(err, &te) {
 		t.Fatalf("3 specs on a 4-core fabric: %v, want *TopologyError", err)
+	}
+	// A topology without a core count is not sized from the spec list: the
+	// slice count would be derived from 0 cores and build a 1-slice fabric.
+	if _, err := RunTopology(Topology{Kind: TopoMesh}, topoSpecs(4, func(m *core.Machine) {})); !errors.As(err, &te) {
+		t.Fatalf("4 specs on a 0-core fabric: %v, want *TopologyError", err)
 	}
 }
 
@@ -224,6 +229,65 @@ func TestTopologyRun64CoreMesh(t *testing.T) {
 		}
 		if ms := r.Machine.C.Get(pmu.LL_CACHE_MISS_RD); ms != p.ReadMisses {
 			t.Fatalf("core %d: port read misses %d vs LL_CACHE_MISS_RD %d", i, p.ReadMisses, ms)
+		}
+	}
+}
+
+// spinBody executes three quanta of single ALU µops and counts itself in
+// active while it runs between yields; peak records the most cores counted
+// at once. Yields fall on every QuantumUops-th µop, inside the scheduler's
+// hook, so the body steps out of the count for that µop.
+func spinBody(active, peak *atomic.Int32) func(*core.Machine) {
+	return func(m *core.Machine) {
+		enter := func() {
+			n := active.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched() // give an unbounded scheduler the chance to start another core
+		}
+		m.Func("spin", 256, 32)
+		enter()
+		for u := 1; u <= 3*QuantumUops; u++ {
+			if u%QuantumUops == 0 {
+				active.Add(-1)
+				m.ALU(1)
+				enter()
+			} else {
+				m.ALU(1)
+			}
+		}
+		active.Add(-1)
+	}
+}
+
+// TestTopologyWorkerBound: a co-run never executes more cores at once
+// than its worker bound, even when the host could run more, and the bound
+// never changes results.
+func TestTopologyWorkerBound(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	var base string
+	for _, bound := range []int{1, 2, 16} {
+		var active, peak atomic.Int32
+		specs := topoSpecs(16, spinBody(&active, &peak))
+		res, err := RunTopologyObserved(Topology{Kind: TopoMesh, Cores: 16}, specs, bound, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res.Cores {
+			if r.Err != nil {
+				t.Fatalf("bound %d: core %d: %v", bound, i, r.Err)
+			}
+		}
+		if p := int(peak.Load()); p > bound {
+			t.Fatalf("bound %d: %d cores executed at once", bound, p)
+		}
+		fp := topoFingerprint(res)
+		if base == "" {
+			base = fp
+		} else if fp != base {
+			t.Fatalf("bound %d diverges from bound 1", bound)
 		}
 	}
 }
