@@ -114,7 +114,9 @@ func main() {
 
 // runSampling is the pmcstat -S analogue: attribute cycle samples to
 // functions (the workflow whose CheriBSD implementation the paper's
-// profiling surfaced a bug in, CTSRD-CHERI/cheribsd#2391).
+// profiling surfaced a bug in, CTSRD-CHERI/cheribsd#2391). Sampling is its
+// own collection: only this run turns attribution on, never the counting
+// runs.
 func runSampling(wl, abiName string, scale int, period uint64) {
 	w, err := workloads.ByName(wl)
 	if err != nil {
@@ -124,7 +126,7 @@ func runSampling(wl, abiName string, scale int, period uint64) {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := workloads.Execute(w, a, scale)
+	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), scale, (*core.Machine).EnableProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmcstat: workload faulted (partial samples follow): %v\n", err)
 	}

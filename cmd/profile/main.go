@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := workloads.Execute(w, a, *scale)
+	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), *scale, (*core.Machine).EnableProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "profile: workload faulted (partial profile follows): %v\n", err)
 	}
@@ -66,7 +66,7 @@ func main() {
 func compareProfiles(out io.Writer, w *workloads.Workload, scale, top int, period uint64) error {
 	shares := map[string]*[3]float64{}
 	for _, a := range abi.All() {
-		m, err := workloads.Execute(w, a, scale)
+		m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), scale, (*core.Machine).EnableProfile)
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,15 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cherisim/internal/abi"
+	"cherisim/internal/alloc"
 	"cherisim/internal/cache"
 	"cherisim/internal/cap"
+	"cherisim/internal/mem"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/tlb"
 )
@@ -60,6 +64,67 @@ func TestTLBCheckerDetectsDesync(t *testing.T) {
 	}
 	if !k.Dead() {
 		t.Fatal("checker still live after reporting a divergence")
+	}
+}
+
+func TestHeapCheckerDetectsDesync(t *testing.T) {
+	col := NewCollector(nil)
+	h := alloc.New(abi.Purecap, 0x4000_0000, 1<<24)
+	k := AttachHeap(col, h)
+	p, err := h.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Skew the reference: a commit the optimized heap never made.
+	k.ref.Commit(p+1<<20, 64)
+	q, err := h.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := col.Report()
+	if rep.Divergences == 0 {
+		t.Fatal("checker missed a desynchronized reference model")
+	}
+	if !k.Dead() {
+		t.Fatal("checker still live after reporting a divergence")
+	}
+	if d := rep.First[0]; d.Component != "heap" || !strings.HasPrefix(d.Op, fmt.Sprintf("commit base %#x size", q)) {
+		t.Fatalf("divergence not reported on the next commit: %+v", d)
+	}
+	before := col.Report().Divergences
+	h.Free(q)
+	h.Owner(p)
+	if got := col.Report().Divergences; got != before {
+		t.Fatalf("dead checker reported again: %d -> %d", before, got)
+	}
+}
+
+func TestMemoryCheckerDetectsDesync(t *testing.T) {
+	col := NewCollector(nil)
+	m := mem.New()
+	k := AttachMemory(col, m)
+	m.WriteUint(0x1000, 1, 8)
+	// Skew the reference: a write the optimized memory never saw, on the
+	// same page, so only the value read back can tell.
+	k.ref.WriteUint(0x1008, 0xdead, 8)
+	if v := m.ReadUint(0x1008, 8); v != 0 {
+		t.Fatalf("optimized memory read %#x, want 0", v)
+	}
+	rep := col.Report()
+	if rep.Divergences == 0 {
+		t.Fatal("checker missed a desynchronized reference model")
+	}
+	if !k.Dead() {
+		t.Fatal("checker still live after reporting a divergence")
+	}
+	if d := rep.First[0]; d.Component != "mem" || d.Op != "read 0x1008 size 8" {
+		t.Fatalf("divergence not reported on the next read: %+v", d)
+	}
+	before := col.Report().Divergences
+	m.WriteUint(0x9000, 2, 8)
+	m.ReadUint(0x1008, 8)
+	if got := col.Report().Divergences; got != before {
+		t.Fatalf("dead checker reported again: %d -> %d", before, got)
 	}
 }
 

@@ -259,7 +259,7 @@ func (m *Machine) uop(c isa.Class, n uint64) {
 		m.C.Add(pmu.BR_RETURN_SPEC, n)
 	}
 	m.fetchAdvance(n)
-	if !m.profileOff {
+	if m.profileOn {
 		m.attribute(n)
 	}
 	if m.OnQuantum != nil {

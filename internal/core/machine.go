@@ -157,15 +157,15 @@ type Machine struct {
 	sp       uint64
 
 	// Stall accumulators (cycles, fractional).
-	feStall      float64
-	beMemL1      float64
-	beMemL2      float64
-	beMemExt     float64
-	beCore       float64
-	badSpec      float64
-	pccStall     float64
-	auxUops      float64
-	dpCarry      float64
+	feStall   float64
+	beMemL1   float64
+	beMemL2   float64
+	beMemExt  float64
+	beCore    float64
+	badSpec   float64
+	pccStall  float64
+	auxUops   float64
+	dpCarry   float64
 	classUops uint64
 	finalized bool
 
@@ -207,11 +207,11 @@ type Machine struct {
 	streams    [8]uint64
 	streamNext int
 
-	// profileOff disables per-function cycle attribution (profile.go).
-	// Attribution only feeds Profile(); callers that never read it — the
-	// experiment harness in particular — can turn it off and save a float
-	// re-estimate per µop call without changing any counter or metric.
-	profileOff bool
+	// profileOn enables per-function cycle attribution (profile.go), which
+	// costs a float re-estimate per µop call and only feeds Profile() and
+	// AttributionProfile(). It changes no counter or metric, so it stays
+	// off unless a caller that reads a profile sets it (EnableProfile).
+	profileOn bool
 
 	faulted *Fault
 }
@@ -431,10 +431,11 @@ func (m *Machine) Uops() uint64 { return m.classUops }
 // PC returns the current fetch program counter.
 func (m *Machine) PC() uint64 { return m.fetchPC }
 
-// DisableProfile turns off per-function cycle attribution for this machine.
-// Profile() will return an empty profile; nothing else observable changes.
-// Use it on machines whose profile is never read (measurement campaigns).
-func (m *Machine) DisableProfile() { m.profileOff = true }
+// EnableProfile turns on per-function cycle attribution for this machine,
+// the analogue of pmcstat's sampling mode: call it before Run, and only
+// when Profile() or AttributionProfile() will be read. Without it both
+// return an empty profile; nothing else observable changes.
+func (m *Machine) EnableProfile() { m.profileOn = true }
 
 // DropOwnerCache invalidates the machine's cached owning-allocation range.
 // The fault injector must call it after mutating heap-allocation metadata

@@ -17,7 +17,9 @@ import (
 // events the paper's Table 1 derives its metrics from are attributed the
 // same way. Unlike a sampling profiler the attribution is exact: summed
 // per-function categories reconcile with the whole-run counter file (see
-// AttributionProfile and internal/profile.Reconcile).
+// AttributionProfile and internal/profile.Reconcile). Like pmcstat's
+// sampling mode it is a separate collection from counting: a machine
+// attributes only after EnableProfile.
 
 // AttrCategory indexes one top-down cycle-estimate category. The split
 // mirrors finalize()'s grouping of the stall accumulators, at one level
@@ -27,14 +29,14 @@ type AttrCategory int
 
 // Attribution categories.
 const (
-	AttrRetiring AttrCategory = iota // issue-limited base: µops / pipeline width
-	AttrFrontend                     // fetch stalls (L1I / ITLB), excluding PCC
-	AttrPCC                          // PCC-bounds stalls (capability jumps, resteers)
-	AttrBadSpec                      // mispredict flush cycles
-	AttrL1Bound                      // backend memory-bound, served from L1D
-	AttrL2Bound                      // backend memory-bound, served from L2
-	AttrExtMemBound                  // backend memory-bound, LLC/DRAM + TLB walks
-	AttrCoreBound                    // backend core-bound (execution pressure)
+	AttrRetiring    AttrCategory = iota // issue-limited base: µops / pipeline width
+	AttrFrontend                        // fetch stalls (L1I / ITLB), excluding PCC
+	AttrPCC                             // PCC-bounds stalls (capability jumps, resteers)
+	AttrBadSpec                         // mispredict flush cycles
+	AttrL1Bound                         // backend memory-bound, served from L1D
+	AttrL2Bound                         // backend memory-bound, served from L2
+	AttrExtMemBound                     // backend memory-bound, LLC/DRAM + TLB walks
+	AttrCoreBound                       // backend core-bound (execution pressure)
 
 	NumAttrCategories
 )
@@ -175,7 +177,7 @@ type FnProfile struct {
 // Profile returns the per-function cycle attribution, sorted by cycles
 // descending. period is the sampling interval in cycles used to derive the
 // pmcstat-style sample counts (e.g. 65536); the shares themselves are
-// exact.
+// exact. It is empty unless EnableProfile was called before Run.
 func (m *Machine) Profile(period uint64) []FnProfile {
 	if period == 0 {
 		period = 65536
@@ -263,7 +265,7 @@ type AttributionProfile struct {
 }
 
 // AttributionProfile snapshots the machine's per-function attribution.
-// Call it after Run; the profile is empty if attribution was disabled.
+// Call it after Run; the profile is empty unless EnableProfile was called.
 func (m *Machine) AttributionProfile() AttributionProfile {
 	var p AttributionProfile
 	p.Totals = [NumAttrCategories]float64{
@@ -287,7 +289,7 @@ func (m *Machine) AttributionProfile() AttributionProfile {
 		EvCapMemRd:     m.C.Get(pmu.CAP_MEM_ACCESS_RD),
 		EvCapMemWr:     m.C.Get(pmu.CAP_MEM_ACCESS_WR),
 	}
-	if m.profileOff {
+	if !m.profileOn {
 		return p
 	}
 	for _, f := range m.fns {

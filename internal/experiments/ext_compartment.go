@@ -82,33 +82,33 @@ func compartmentalizedQueries(m *core.Machine, queries, rowsPerQuery int, compar
 // measured per-crossing cost is tens of cycles, not thousands.
 func runExtCompartment(s *Session) (string, error) {
 	const queries, rows = 2000, 6
+	abis := []abi.ABI{abi.Hybrid, abi.Benchmark, abi.Purecap}
+
+	// One monolithic and one compartmentalized kernel per ABI, all
+	// independent: run them across the fleet, then render in ABI order.
+	krs := make([]*KernelResult, 2*len(abis))
+	err := fanOut(len(krs), func(i int) (err error) {
+		comp := i%2 == 1
+		id := fmt.Sprintf("compartment/sqlite:q=%d:r=%d:comp=%t", queries, rows, comp)
+		krs[i], err = s.RunKernel(id, core.DefaultConfig(abis[i/2]), func(m *core.Machine) {
+			if err := compartmentalizedQueries(m, queries, rows, comp); err != nil {
+				panic(err)
+			}
+		})
+		return err
+	})
+	if err != nil {
+		return "", err
+	}
 
 	var b strings.Builder
 	b.WriteString("Extension: compartmentalized SQL storage engine, one domain crossing per query\n\n")
 	tw := tabwriter.NewWriter(&b, 1, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "abi\tmonolithic(ms)\tcompartmentalized(ms)\toverhead\tcycles/crossing")
-	for _, a := range []abi.ABI{abi.Hybrid, abi.Benchmark, abi.Purecap} {
-		run := func(comp bool) (float64, uint64, error) {
-			id := fmt.Sprintf("compartment/sqlite:q=%d:r=%d:comp=%t", queries, rows, comp)
-			kr, err := s.RunKernel(id, core.DefaultConfig(a), func(m *core.Machine) {
-				if err := compartmentalizedQueries(m, queries, rows, comp); err != nil {
-					panic(err)
-				}
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			return kr.Metrics.Seconds, kr.Cycles(), nil
-		}
-		monoS, monoC, err := run(false)
-		if err != nil {
-			return "", err
-		}
-		compS, compC, err := run(true)
-		if err != nil {
-			return "", err
-		}
-		perCrossing := float64(compC-monoC) / queries
+	for j, a := range abis {
+		mono, comp := krs[2*j], krs[2*j+1]
+		monoS, compS := mono.Metrics.Seconds, comp.Metrics.Seconds
+		perCrossing := float64(comp.Cycles()-mono.Cycles()) / queries
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%+.1f%%\t%.0f\n",
 			a, monoS*1e3, compS*1e3, (compS/monoS-1)*100, perCrossing)
 	}

@@ -31,26 +31,37 @@ func init() {
 func runExtRevocation(s *Session) (string, error) {
 	names := []string{"quickjs", "520.omnetpp_r", "sqlite", "523.xalancbmk_r"}
 
+	// Each workload's temporal-safety kernel is independent of the others':
+	// run them across the fleet, then render in workload order.
+	bases := make([]*RunData, len(names))
+	krs := make([]*KernelResult, len(names))
+	err := fanOut(len(names), func(i int) error {
+		name := names[i]
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return err
+		}
+		if bases[i] = s.Run(w, abi.Purecap); bases[i].Err != nil {
+			return fmt.Errorf("%s: %w", name, bases[i].Err)
+		}
+		cfg := core.DefaultConfig(abi.Purecap)
+		cfg.TemporalSafety = true
+		krs[i], err = s.RunKernel("revocation/"+name, cfg, func(m *core.Machine) { w.Run(m, s.Scale) })
+		if err != nil {
+			return fmt.Errorf("%s+temporal: %w", name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+
 	var b strings.Builder
 	b.WriteString("Extension: purecap + heap temporal safety (quarantine + revocation sweeps)\n\n")
 	tw := tabwriter.NewWriter(&b, 1, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tpurecap(ms)\t+temporal(ms)\toverhead\tsweeps\tgranules scanned\tcaps revoked\treclaimed(KiB)")
-	for _, name := range names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return "", err
-		}
-		base := s.Run(w, abi.Purecap)
-		if base.Err != nil {
-			return "", fmt.Errorf("%s: %w", name, base.Err)
-		}
-
-		cfg := core.DefaultConfig(abi.Purecap)
-		cfg.TemporalSafety = true
-		kr, err := s.RunKernel("revocation/"+name, cfg, func(m *core.Machine) { w.Run(m, s.Scale) })
-		if err != nil {
-			return "", fmt.Errorf("%s+temporal: %w", name, err)
-		}
+	for i, name := range names {
+		base, kr := bases[i], krs[i]
 		tm := kr.Metrics
 
 		var scanned, revoked, reclaimed uint64

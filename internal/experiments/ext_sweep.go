@@ -63,6 +63,20 @@ func chaseKernel(nodes, hops int) func(*core.Machine) {
 func runExtSweep(s *Session) (string, error) {
 	const hops = 60000
 	nodeCounts := []int{512, 2048, 8192, 16384, 32768, 65536, 131072}
+	abis := []abi.ABI{abi.Hybrid, abi.Purecap}
+
+	// The kernels are independent: run them across the fleet, then render
+	// in sweep order.
+	krs := make([]*KernelResult, len(nodeCounts)*len(abis))
+	err := fanOut(len(krs), func(i int) (err error) {
+		n := nodeCounts[i/len(abis)]
+		id := fmt.Sprintf("sweep/chase:nodes=%d:hops=%d", n, hops)
+		krs[i], err = s.RunKernel(id, core.DefaultConfig(abis[i%len(abis)]), chaseKernel(n, hops))
+		return err
+	})
+	if err != nil {
+		return "", err
+	}
 
 	var b strings.Builder
 	b.WriteString("Extension: pointer-chase overhead vs working-set size (fixed 60k hops)\n\n")
@@ -70,29 +84,15 @@ func runExtSweep(s *Session) (string, error) {
 	fmt.Fprintln(tw, "nodes\thybrid WS\tpurecap WS\thybrid(ms)\tpurecap(ms)\tpurecap/hybrid")
 	var peak float64
 	var peakNodes int
-	for _, n := range nodeCounts {
-		run := func(a abi.ABI) (float64, uint64, error) {
-			id := fmt.Sprintf("sweep/chase:nodes=%d:hops=%d", n, hops)
-			kr, err := s.RunKernel(id, core.DefaultConfig(a), chaseKernel(n, hops))
-			if err != nil {
-				return 0, 0, err
-			}
-			return kr.Metrics.Seconds, kr.Heap.BrkBytes, nil
-		}
-		hy, hyWS, err := run(abi.Hybrid)
-		if err != nil {
-			return "", err
-		}
-		pc, pcWS, err := run(abi.Purecap)
-		if err != nil {
-			return "", err
-		}
-		ratio := pc / hy
+	for j, n := range nodeCounts {
+		hy, pc := krs[j*len(abis)], krs[j*len(abis)+1]
+		ratio := pc.Metrics.Seconds / hy.Metrics.Seconds
 		if ratio > peak {
 			peak, peakNodes = ratio, n
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.3f\t%.3f\t%.3f\n",
-			n, fmtBytes(hyWS), fmtBytes(pcWS), hy*1e3, pc*1e3, ratio)
+			n, fmtBytes(hy.Heap.BrkBytes), fmtBytes(pc.Heap.BrkBytes),
+			hy.Metrics.Seconds*1e3, pc.Metrics.Seconds*1e3, ratio)
 	}
 	tw.Flush()
 	fmt.Fprintf(&b, "\npeak overhead %.2fx at %d nodes: the hybrid working set still fits a\n", peak, peakNodes)

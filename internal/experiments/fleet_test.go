@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,6 +37,70 @@ func busy(m *core.Machine) {
 	for i := uint64(0); i < 4000; i++ {
 		m.Load(p+core.Ptr(i*8%(1<<14)), 8)
 		m.ALU(2)
+	}
+}
+
+// TestExtensionKernelsFanOutWithinFleet: ext-sweep and ext-revocation
+// issue their independent kernels concurrently, so on a 2-slot fleet at
+// least two kernel run spans overlap, never more than the two slots, and
+// the rendered text is a serial session's.
+func TestExtensionKernelsFanOutWithinFleet(t *testing.T) {
+	const slots = 2
+	exps, err := Select([]string{"ext-sweep", "ext-revocation"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(s *Session) string {
+		var out bytes.Buffer
+		if failed := RenderSelected(s, &out, exps, nil); len(failed) != 0 {
+			t.Fatalf("render failed: %+v", failed)
+		}
+		return out.String()
+	}
+	serial := NewSession(1)
+	serial.Jobs = 1
+	want := render(serial)
+
+	hub := telemetry.New()
+	s := NewSession(1)
+	s.SharePool(NewFleet(slots))
+	s.Telemetry = hub
+	if got := render(s); got != want {
+		t.Fatalf("fanned-out render differs from the serial session's:\n%s\nwant:\n%s", got, want)
+	}
+	s.FinishTelemetry()
+
+	// Sweep the kernel spans' edges in time order, closing before opening
+	// at a tie, and track how many were open at once.
+	type edge struct {
+		at    float64
+		delta int
+	}
+	var edges []edge
+	for _, sp := range hub.Spans.Snapshot() {
+		if strings.HasPrefix(sp.Name, "kernel:") {
+			edges = append(edges, edge{sp.StartUs, 1}, edge{sp.StartUs + sp.DurUs, -1})
+		}
+	}
+	if len(edges) != 2*(14+4) {
+		t.Fatalf("%d kernel spans, want 18", len(edges)/2)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	open, peak := 0, 0
+	for _, e := range edges {
+		open += e.delta
+		peak = max(peak, open)
+	}
+	if peak < 2 {
+		t.Fatal("kernel runs never overlapped: the extensions issue them one at a time")
+	}
+	if peak > slots {
+		t.Fatalf("%d kernel runs open at once on a %d-slot fleet", peak, slots)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"cherisim/internal/abi"
@@ -20,8 +19,9 @@ import (
 // sibling of Session.Run — memoized per session, executed through
 // Session.do and persisted under its own store kind — and the "hotspots"
 // experiment renders the differential ABI hotspot report over the paper's
-// top-down workload set. Profiled runs leave attribution on; grid runs
-// switch it off with DisableProfile, since nothing reads their profiles.
+// top-down workload set. Profiled runs are the only session runs that turn
+// attribution on (core.Machine.EnableProfile); every other machine leaves
+// it off, since nothing reads its profile.
 
 // hotspotTopN bounds the rendered rows per workload; the full profile is
 // still computed, exported (flamegraph/pprof) and stored.
@@ -74,14 +74,19 @@ func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.Attributio
 }
 
 // profileOnce performs one profiled execution: the session's supervision
-// and lockstep hooks but — unlike executeOnce — no DisableProfile, so the
+// and lockstep hooks, plus — unlike executeOnce — EnableProfile, so the
 // interpreter attributes every µop to the function executing it. The
 // profile is reconciled against the run's counter file before it is
 // stored.
 func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, run *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
 	_, setup := s.attemptSetup(w, a, 0, s.campaignObserver(), run)
-	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
+	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, func(m *core.Machine) {
+		m.EnableProfile()
+		if setup != nil {
+			setup(m)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
 	}
@@ -100,34 +105,21 @@ func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.
 // profiled run fails the whole set — the differential report needs all
 // three ABIs of every workload.
 func (s *Session) HotspotProfiles() (map[string][3]core.AttributionProfile, error) {
-	set := workloads.TopDownSet()
-	type cell struct {
-		w    string
-		a    abi.ABI
-		prof *core.AttributionProfile
-		err  error
+	set, abis := workloads.TopDownSet(), abi.All()
+	profs := make([]*core.AttributionProfile, len(set)*len(abis))
+	err := fanOut(len(profs), func(i int) (err error) {
+		profs[i], err = s.ProfileRun(set[i/len(abis)], abis[i%len(abis)])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	results := make([]cell, len(set)*len(abi.All()))
-	var wg sync.WaitGroup
-	for i, w := range set {
-		for _, a := range abi.All() {
-			wg.Add(1)
-			go func(idx int, w *workloads.Workload, a abi.ABI) {
-				defer wg.Done()
-				p, err := s.ProfileRun(w, a)
-				results[idx] = cell{w: w.Name, a: a, prof: p, err: err}
-			}(i*len(abi.All())+int(a), w, a)
-		}
-	}
-	wg.Wait()
 	out := make(map[string][3]core.AttributionProfile, len(set))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		v := out[r.w]
-		v[r.a] = *r.prof
-		out[r.w] = v
+	for i, p := range profs {
+		w, a := set[i/len(abis)], abis[i%len(abis)]
+		v := out[w.Name]
+		v[a] = *p
+		out[w.Name] = v
 	}
 	return out, nil
 }

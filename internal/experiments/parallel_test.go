@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,5 +160,32 @@ func TestUnionPairsDeduplicates(t *testing.T) {
 	// every workload under every ABI).
 	if want := len(CampaignGrid()); len(union) < want {
 		t.Fatalf("union has %d pairs, want at least the %d-pair campaign grid", len(union), want)
+	}
+}
+
+// TestFanOutReturnsLowestIndexError: fanOut runs every index and returns
+// the error a serial loop would have stopped at, the lowest failing
+// index's, even when a higher index fails first.
+func TestFanOutReturnsLowestIndexError(t *testing.T) {
+	const n = 8
+	var ran atomic.Int32
+	late := make(chan struct{})
+	err := fanOut(n, func(i int) error {
+		ran.Add(1)
+		switch i {
+		case 2:
+			<-late
+			return fmt.Errorf("fail %d", i)
+		case 5:
+			defer close(late)
+			return fmt.Errorf("fail %d", i)
+		}
+		return nil
+	})
+	if got := ran.Load(); got != n {
+		t.Fatalf("fanOut ran %d of %d indices", got, n)
+	}
+	if err == nil || err.Error() != "fail 2" {
+		t.Fatalf("fanOut returned %v, want the lowest index's error (fail 2)", err)
 	}
 }

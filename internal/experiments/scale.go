@@ -79,11 +79,7 @@ func runScale(s *Session) (string, error) {
 		}
 		return soc.CoreSpec{
 			Config: cfg,
-			// Per-function attribution is off: with up to MaxCores
-			// machines alive at once the profile rings dominate memory
-			// for numbers the scale tables never render.
-			Setup: func(m *core.Machine) { m.DisableProfile() },
-			Body:  func(m *core.Machine) { w.Run(m, s.Scale) },
+			Body:   func(m *core.Machine) { w.Run(m, s.Scale) },
 		}
 	}
 	specsFor := func(a abi.ABI, n int) []soc.CoreSpec {

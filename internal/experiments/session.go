@@ -512,18 +512,12 @@ func (s *Session) execute(key resultstore.Key, w *workloads.Workload, a abi.ABI,
 }
 
 // executeOnce performs one attempt on a fresh machine and returns its
-// entry together with the live run error.
+// entry together with the live run error. Its machine leaves per-function
+// attribution off: nothing reads a measured run's profile.
 func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, attempt int, obs *runObserver, att *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
 	inj, setup := s.attemptSetup(w, a, attempt, obs, att)
-	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, func(m *core.Machine) {
-		// Nothing in the harness reads per-function profiles; skipping
-		// attribution changes no counter or metric (see DisableProfile).
-		m.DisableProfile()
-		if setup != nil {
-			setup(m)
-		}
-	})
+	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
 	e := &resultstore.Entry{Key: key}
 	if inj != nil {
 		e.Injected = inj.Events()
@@ -582,13 +576,39 @@ func (s *Session) attemptSetup(w *workloads.Workload, a abi.ABI, attempt int, ob
 	return inj, setup
 }
 
-// Prefetch fans the given pairs out across the worker pool and blocks
+// fanOut runs fn(i) for every i < n concurrently, waits for all of them,
+// and returns the error of the lowest i that failed: the error a serial
+// loop stopping at its first failure would return. It adds no bound of
+// its own: every simulation fn issues takes its worker slots through
+// Session.do, so the fleet bounds how many execute at once. Callers
+// collect results into an index-addressed slice, so what they render does
+// not depend on scheduling order.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range errs {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Prefetch fans the given pairs out across the fleet (fanOut) and blocks
 // until every one is cached. Duplicate pairs collapse onto one execution,
 // so prefetching the union of several experiments' needs is cheap.
 // Because each run is deterministic and isolated, a render after Prefetch
 // is byte-identical to the same render on a serial session.
 func (s *Session) Prefetch(pairs []Pair) {
-	var wg sync.WaitGroup
+	uniq := make([]Pair, 0, len(pairs))
 	seen := make(map[string]bool, len(pairs))
 	for _, p := range pairs {
 		if p.Workload == nil {
@@ -599,13 +619,12 @@ func (s *Session) Prefetch(pairs []Pair) {
 			continue
 		}
 		seen[key] = true
-		wg.Add(1)
-		go func(p Pair) {
-			defer wg.Done()
-			s.Run(p.Workload, p.ABI)
-		}(p)
+		uniq = append(uniq, p)
 	}
-	wg.Wait()
+	fanOut(len(uniq), func(i int) error {
+		s.Run(uniq[i].Workload, uniq[i].ABI)
+		return nil
+	})
 }
 
 // RunAll executes the full measurement campaign — every runnable workload

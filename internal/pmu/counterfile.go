@@ -66,7 +66,9 @@ type Plan [][]Event
 
 // BuildPlan splits events into the minimum number of run groups of at most
 // Slots events each (CPU_CYCLES excluded; it is always collected). The
-// resulting plan is deterministic: event order is preserved.
+// resulting plan is deterministic: event order is preserved. A request
+// with no programmable events still needs one run to read the fixed cycle
+// counter, so its plan is a single empty group.
 func BuildPlan(events []Event) Plan {
 	var uniq []Event
 	seen := map[Event]bool{}
@@ -76,6 +78,9 @@ func BuildPlan(events []Event) Plan {
 		}
 		seen[e] = true
 		uniq = append(uniq, e)
+	}
+	if len(uniq) == 0 {
+		return Plan{{}}
 	}
 	var plan Plan
 	for len(uniq) > 0 {

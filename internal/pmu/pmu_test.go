@@ -147,3 +147,25 @@ func TestBuildPlanDeduplicates(t *testing.T) {
 		t.Fatalf("plan = %v", plan)
 	}
 }
+
+// TestCycleCounterOnlyPlanIsOneRun: a request for nothing but the fixed
+// cycle counter still takes one run, with no programmable slot used, and
+// that run captures the cycle count.
+func TestCycleCounterOnlyPlanIsOneRun(t *testing.T) {
+	for _, req := range [][]Event{{CPU_CYCLES}, nil} {
+		plan := BuildPlan(req)
+		if plan.Runs() != 1 || len(plan.Events()) != 0 {
+			t.Fatalf("BuildPlan(%v) = %v, want one run with an empty group", req, plan)
+		}
+		var truth Counters
+		truth.Add(CPU_CYCLES, 2426373)
+		f, err := NewCounterFile(plan[0]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Capture(&truth)
+		if v, err := f.Read(CPU_CYCLES); err != nil || v != 2426373 {
+			t.Fatalf("cycles = %d, %v; want 2426373", v, err)
+		}
+	}
+}

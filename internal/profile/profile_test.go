@@ -30,7 +30,7 @@ func TestConservationEveryWorkloadABI(t *testing.T) {
 			w, a := w, a
 			t.Run(fmt.Sprintf("%s/%s", w.Name, a), func(t *testing.T) {
 				t.Parallel()
-				m, err := workloads.Execute(w, a, 1)
+				m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), 1, (*core.Machine).EnableProfile)
 				if err != nil {
 					t.Fatalf("execute: %v", err)
 				}
@@ -77,7 +77,7 @@ func runSmallWorkload(t *testing.T, a abi.ABI) *core.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := workloads.Execute(w, a, 1)
+	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), 1, (*core.Machine).EnableProfile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func sampleHotspots(t *testing.T) *HotspotSet {
 	}
 	var profs [3]core.AttributionProfile
 	for _, a := range abi.All() {
-		m, err := workloads.Execute(w, a, 1)
+		m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), 1, (*core.Machine).EnableProfile)
 		if err != nil {
 			t.Fatal(err)
 		}

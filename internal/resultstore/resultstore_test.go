@@ -388,7 +388,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := workloads.Execute(w, abi.Purecap, 1)
+	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(abi.Purecap), 1, (*core.Machine).EnableProfile)
 	if err != nil {
 		t.Fatal(err)
 	}
