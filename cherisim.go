@@ -28,6 +28,7 @@ package cherisim
 
 import (
 	"fmt"
+	"strings"
 
 	"cherisim/internal/abi"
 	"cherisim/internal/core"
@@ -107,26 +108,33 @@ type Result struct {
 }
 
 // Run executes the named workload under ABI a at the given scale
-// (1 = default length) and returns its measurements. Simulated capability
-// faults surface as the returned error with partial measurements attached.
+// (1 = default length; smaller values clamp to 1) and returns its
+// measurements. Simulated capability faults surface as the returned error
+// with partial measurements attached.
 func Run(workload string, a ABI, scale int) (*Result, error) {
 	return RunConfig(workload, DefaultConfig(a), scale)
 }
 
 // RunConfig is Run with an explicit machine configuration.
 func RunConfig(workload string, cfg Config, scale int) (*Result, error) {
+	d, err := run(workload, cfg, scale)
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(d), d.Err
+}
+
+// run measures one workload under cfg through a fresh experiments
+// session, the path every experiment takes: the session's Configure hook
+// installs the caller's configuration.
+func run(workload string, cfg Config, scale int) (*experiments.RunData, error) {
 	w, err := workloads.ByName(workload)
 	if err != nil {
 		return nil, err
 	}
-	m, runErr := workloads.ExecuteConfig(w, cfg, scale)
-	res := &Result{
-		Counters:  m.C,
-		Metrics:   metrics.Compute(&m.C),
-		Topdown:   topdown.Analyze(&m.C),
-		HeapBytes: m.Heap.Stats().BrkBytes,
-	}
-	return res, runErr
+	s := experiments.NewSession(scale)
+	s.Configure = func(c *Config) { *c = cfg }
+	return s.Run(w, cfg.ABI), nil
 }
 
 // Experiment regenerates one of the paper's tables or figures.
@@ -164,34 +172,34 @@ type ExperimentPair = experiments.Pair
 // workload crossed with the three ABIs — for use with Session.Prefetch.
 func CampaignGrid() []ExperimentPair { return experiments.CampaignGrid() }
 
-func resultOf(m *Machine, err error) (*Result, error) {
+// resultOf converts one machine's session outcome into a Result.
+func resultOf(d *experiments.RunData) *Result {
 	return &Result{
-		Counters:  m.C,
-		Metrics:   metrics.Compute(&m.C),
-		Topdown:   topdown.Analyze(&m.C),
-		HeapBytes: m.Heap.Stats().BrkBytes,
-	}, err
+		Counters:  d.Counters,
+		Metrics:   d.Metrics,
+		Topdown:   d.Topdown,
+		HeapBytes: d.Heap.BrkBytes,
+	}
 }
 
 // RunTemporalSafety runs a workload under purecap with Cornucopia-style
 // heap temporal safety (quarantine-on-free plus revocation sweeps) and
 // returns the measurements together with the sweep statistics.
 func RunTemporalSafety(workload string, scale int) (*Result, []core.RevocationStats, error) {
-	w, err := workloads.ByName(workload)
+	cfg := DefaultConfig(Purecap)
+	cfg.TemporalSafety = true
+	d, err := run(workload, cfg, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := DefaultConfig(Purecap)
-	cfg.TemporalSafety = true
-	m, runErr := workloads.ExecuteConfig(w, cfg, scale)
-	res, _ := resultOf(m, nil)
-	return res, m.Revocations(), runErr
+	return resultOf(d), d.Revocations, d.Err
 }
 
 // CoRun co-runs the named workloads, one per simulated core, under ABI a
 // (up to the Morello SoC's four cores) on the SoC fabric's default mesh
 // for that core count, whose address-interleaved slices form the shared
-// 1 MiB system-level cache. Co-runs are deterministic; results are
+// 1 MiB system-level cache. It runs through an experiments session at the
+// same clamped scale as Run. Co-runs are deterministic; results are
 // per-core, in input order. When a core faults, the error describes the
 // first faulting core and the returned slice still carries every core's
 // partial measurements (the faulting core's counters are finalized up to
@@ -200,6 +208,7 @@ func CoRun(names []string, a ABI, scale int) ([]*Result, error) {
 	if len(names) == 0 || len(names) > 4 {
 		return nil, fmt.Errorf("cherisim: CoRun takes 1-4 workloads, got %d", len(names))
 	}
+	s := experiments.NewSession(scale)
 	specs := make([]soc.CoreSpec, len(names))
 	for i, name := range names {
 		w, err := workloads.ByName(name)
@@ -208,19 +217,20 @@ func CoRun(names []string, a ABI, scale int) ([]*Result, error) {
 		}
 		specs[i] = soc.CoreSpec{
 			Config: DefaultConfig(a),
-			Body:   func(m *Machine) { w.Run(m, scale) },
+			Body:   func(m *Machine) { w.Run(m, s.Scale) },
 		}
 	}
-	res, err := soc.RunTopology(soc.Topology{Kind: soc.TopoMesh, Cores: len(specs)}, specs)
+	id := "facade/" + strings.Join(names, "+")
+	cores, _, err := s.CoRun(id, soc.Topology{Kind: soc.TopoMesh, Cores: len(specs)}, specs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Result, len(res.Cores))
+	out := make([]*Result, len(cores))
 	var firstErr error
-	for i, r := range res.Cores {
-		out[i], _ = resultOf(r.Machine, nil)
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core %d (%s): %w", i, names[i], r.Err)
+	for i := range cores {
+		out[i] = resultOf(&cores[i])
+		if cores[i].Err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("core %d (%s): %w", i, names[i], cores[i].Err)
 		}
 	}
 	return out, firstErr

@@ -1,7 +1,8 @@
 // Command morello-sim runs one workload on the simulated Morello platform
 // under a chosen CHERI ABI and reports execution statistics, derived
 // metrics and the top-down breakdown — the simulator's equivalent of
-// timing a benchmark on the board.
+// timing a benchmark on the board. It measures through an experiments
+// session, the same path the paper's tables take.
 //
 // Usage:
 //
@@ -17,9 +18,10 @@ import (
 	"text/tabwriter"
 
 	"cherisim/internal/abi"
+	"cherisim/internal/core"
+	"cherisim/internal/experiments"
 	"cherisim/internal/metrics"
 	"cherisim/internal/pmu"
-	"cherisim/internal/topdown"
 	"cherisim/internal/workloads"
 )
 
@@ -54,15 +56,18 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := coreConfig(a, *trackPCC)
-	m, err := workloads.ExecuteConfig(w, cfg, *scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "morello-sim: workload faulted: %v\n", err)
+	s := experiments.NewSession(*scale)
+	if *trackPCC {
+		s.Configure = func(cfg *core.Config) { cfg.TracksPCCBounds = true }
+	}
+	d := s.Run(w, a)
+	if d.Err != nil {
+		fmt.Fprintf(os.Stderr, "morello-sim: workload faulted: %v\n", d.Err)
 		// Counters up to the fault are still reported, as a crashed run's
 		// partial pmcstat output would be.
 	}
 
-	mm := metrics.Compute(&m.C)
+	mm := d.Metrics
 	fmt.Printf("workload  %s (%s)\nabi       %s\n", w.Name, w.Desc, a)
 	fmt.Printf("time      %.6f s (%d cycles @2.5GHz)\n", mm.Seconds, mm.Cycles)
 	fmt.Printf("insts     %d (IPC %.3f)\n", mm.Insts, mm.IPC)
@@ -71,16 +76,16 @@ func main() {
 	fmt.Printf("capLD     %.2f%%   capSD %.2f%%   capTraffic %.2f%%   capTag %.2f%%\n",
 		mm.CapLoadDensity*100, mm.CapStoreDensity*100, mm.CapTrafficShare*100, mm.CapTagOverhead*100)
 	fmt.Printf("MI        %.3f (%s)\n", mm.MemoryIntensity, metrics.ClassifyMI(mm.MemoryIntensity))
-	hs := m.Heap.Stats()
+	hs := d.Heap
 	fmt.Printf("heap      %d allocs, %d frees, peak %d B, footprint %d B (rounding overhead %.3fx)\n",
 		hs.Allocs, hs.Frees, hs.PeakLiveBytes, hs.BrkBytes, hs.OverheadRatio())
-	fmt.Printf("\nTop-down:\n%s", topdown.Analyze(&m.C))
+	fmt.Printf("\nTop-down:\n%s", d.Topdown)
 
 	if *events {
 		fmt.Println("\nRaw PMU events:")
 		tw := tabwriter.NewWriter(os.Stdout, 1, 4, 2, ' ', 0)
 		for _, e := range pmu.AllEvents() {
-			fmt.Fprintf(tw, "%s\t%d\n", e, m.C.Get(e))
+			fmt.Fprintf(tw, "%s\t%d\n", e, d.Counters.Get(e))
 		}
 		tw.Flush()
 	}

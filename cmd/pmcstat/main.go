@@ -2,8 +2,9 @@
 // (§3.2): the PMU exposes six programmable counters plus the fixed cycle
 // counter, so collecting a larger event set requires re-running the
 // (deterministic) benchmark once per counter group. The tool builds the
-// multiplexing plan, performs the runs, and merges the captured counters
-// into one report — nine runs for the paper's full event set.
+// multiplexing plan and merges each group's captured counters into one
+// report — seven runs for the full event set. The simulated benchmark is
+// deterministic, so every group captures from one session run.
 //
 // Usage:
 //
@@ -21,7 +22,9 @@ import (
 
 	"cherisim/internal/abi"
 	"cherisim/internal/core"
+	"cherisim/internal/experiments"
 	"cherisim/internal/pmu"
+	"cherisim/internal/profile"
 	"cherisim/internal/workloads"
 )
 
@@ -36,12 +39,12 @@ func main() {
 	period := flag.Uint64("period", 65536, "sampling period in cycles (with -S)")
 	flag.Parse()
 
-	if *wl != "" && *sample {
-		runSampling(*wl, *abiName, *scale, *period)
-		return
-	}
-	if *wl == "" || (*eventsArg == "" && !*full) {
+	if *wl == "" || (*eventsArg == "" && !*full && !*sample) {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *sample && *period == 0 {
+		fmt.Fprintln(os.Stderr, "pmcstat: -period must be positive")
 		os.Exit(2)
 	}
 	w, err := workloads.ByName(*wl)
@@ -51,6 +54,11 @@ func main() {
 	a, err := abi.Parse(*abiName)
 	if err != nil {
 		fatal(err)
+	}
+	s := experiments.NewSession(*scale)
+	if *sample {
+		runSampling(s, w, a, *period)
+		return
 	}
 
 	var events []pmu.Event
@@ -79,8 +87,8 @@ func main() {
 		return
 	}
 
-	// One benchmark execution per counter group; the workload is
-	// deterministic, so per-run captures compose into one sample set.
+	// One capture per counter group; the workload is deterministic, so
+	// every group captures from the session's one run.
 	merged := map[pmu.Event]uint64{}
 	var cycles uint64
 	for i, group := range plan {
@@ -88,11 +96,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		m, err := workloads.Execute(w, a, *scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmcstat: run %d faulted: %v\n", i+1, err)
+		d := s.Run(w, a)
+		if d.Err != nil {
+			fmt.Fprintf(os.Stderr, "pmcstat: run %d faulted: %v\n", i+1, d.Err)
 		}
-		file.Capture(&m.C)
+		file.Capture(&d.Counters)
 		for _, e := range group {
 			v, err := file.Read(e)
 			if err != nil {
@@ -115,23 +123,19 @@ func main() {
 // runSampling is the pmcstat -S analogue: attribute cycle samples to
 // functions (the workflow whose CheriBSD implementation the paper's
 // profiling surfaced a bug in, CTSRD-CHERI/cheribsd#2391). Sampling is its
-// own collection: only this run turns attribution on, never the counting
-// runs.
-func runSampling(wl, abiName string, scale int, period uint64) {
-	w, err := workloads.ByName(wl)
-	if err != nil {
+// own collection: the session's profiled run, never the counting run.
+func runSampling(s *experiments.Session, w *workloads.Workload, a abi.ABI, period uint64) {
+	p, err := s.ProfileRun(w, a)
+	if p == nil {
 		fatal(err)
 	}
-	a, err := abi.Parse(abiName)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), scale, (*core.Machine).EnableProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmcstat: workload faulted (partial samples follow): %v\n", err)
 	}
-	fmt.Printf("# sampling %s/%s, period %d cycles, %d total cycles\n", w.Name, a, period, m.Cycles())
-	fmt.Print(core.FormatProfile(m.Profile(period), 20))
+	// Reconcile guarantees the profile's totals reconstruct CPU_CYCLES.
+	cycles := profile.ReconstructCounters(p.Totals)[pmu.CPU_CYCLES]
+	fmt.Printf("# sampling %s/%s, period %d cycles, %d total cycles\n", w.Name, a, period, cycles)
+	fmt.Print(core.FormatProfile(p.Sampled(period), 20))
 }
 
 func fatal(err error) {

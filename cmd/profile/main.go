@@ -1,9 +1,10 @@
 // Command profile runs a workload under an ABI and prints the per-function
 // cycle profile — the simulator's analogue of pmcstat's sampling mode
 // (§3.2; the paper's profiling work surfaced CheriBSD bug #2391 in that
-// path). Comparing profiles across ABIs shows *where* CHERI's overhead
-// lands: e.g. under purecap, QuickJS's opcode handlers and xalancbmk's
-// virtual DOM accessors absorb disproportionally more cycles.
+// path), taken from an experiments session's profiled run. Comparing
+// profiles across ABIs shows *where* CHERI's overhead lands: e.g. under
+// purecap, QuickJS's opcode handlers and xalancbmk's virtual DOM
+// accessors absorb disproportionally more cycles.
 //
 // Usage:
 //
@@ -21,6 +22,9 @@ import (
 
 	"cherisim/internal/abi"
 	"cherisim/internal/core"
+	"cherisim/internal/experiments"
+	"cherisim/internal/pmu"
+	"cherisim/internal/profile"
 	"cherisim/internal/workloads"
 )
 
@@ -34,6 +38,10 @@ func main() {
 	flag.Parse()
 	if *wl == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *period == 0 {
+		fmt.Fprintln(os.Stderr, "profile: -period must be positive")
 		os.Exit(2)
 	}
 	w, err := workloads.ByName(*wl)
@@ -52,31 +60,37 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), *scale, (*core.Machine).EnableProfile)
+	p, err := experiments.NewSession(*scale).ProfileRun(w, a)
+	if p == nil {
+		fatal(err)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "profile: workload faulted (partial profile follows): %v\n", err)
 	}
-	fmt.Printf("%s under %s — %d cycles\n\n", w.Name, a, m.Cycles())
-	fmt.Print(core.FormatProfile(m.Profile(*period), *top))
+	// Reconcile guarantees the profile's totals reconstruct CPU_CYCLES.
+	cycles := profile.ReconstructCounters(p.Totals)[pmu.CPU_CYCLES]
+	fmt.Printf("%s under %s — %d cycles\n\n", w.Name, a, cycles)
+	fmt.Print(core.FormatProfile(p.Sampled(*period), *top))
 }
 
 // compareProfiles renders the per-function share comparison: one row per
 // function with its cycle share under each ABI, sorted by purecap share
 // descending (name tiebreak), truncated to top rows.
 func compareProfiles(out io.Writer, w *workloads.Workload, scale, top int, period uint64) error {
+	s := experiments.NewSession(scale)
 	shares := map[string]*[3]float64{}
 	for _, a := range abi.All() {
-		m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), scale, (*core.Machine).EnableProfile)
+		p, err := s.ProfileRun(w, a)
 		if err != nil {
 			return err
 		}
-		for _, p := range m.Profile(period) {
-			e := shares[p.Name]
+		for _, f := range p.Sampled(period) {
+			e := shares[f.Name]
 			if e == nil {
 				e = &[3]float64{}
-				shares[p.Name] = e
+				shares[f.Name] = e
 			}
-			e[a] += p.Share
+			e[a] += f.Share
 		}
 	}
 	names := make([]string, 0, len(shares))

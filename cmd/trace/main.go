@@ -38,10 +38,14 @@ func main() {
 		fatal(err)
 	}
 
+	// A trace is its own collection, which the result store cannot hold,
+	// so this tool runs the execution primitive directly rather than an
+	// experiments session.
 	run := func(a abi.ABI) trace.Analysis {
-		m := core.NewMachine(core.DefaultConfig(a))
-		m.Tracer = trace.New(*max)
-		if err := m.Run(func(m *core.Machine) { w.Run(m, *scale) }); err != nil {
+		m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), *scale, func(m *core.Machine) {
+			m.Tracer = trace.New(*max)
+		})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace: workload faulted (partial trace follows): %v\n", err)
 		}
 		return trace.Analyze(m.Tracer.Events())

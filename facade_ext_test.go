@@ -1,6 +1,9 @@
 package cherisim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestCoRunFacade(t *testing.T) {
 	results, err := CoRun([]string{"llama-matmul", "541.leela_r"}, Purecap, 1)
@@ -53,6 +56,17 @@ func TestRunTemporalSafetyFacade(t *testing.T) {
 	if revoked == 0 {
 		t.Error("no capabilities revoked")
 	}
+	// The facade measures through an experiments session, so its sweeps
+	// are the session run's.
+	w, err := WorkloadByName("quickjs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewExperimentSession(1)
+	s.Configure = func(cfg *Config) { cfg.TemporalSafety = true }
+	if d := s.Run(w, Purecap); !reflect.DeepEqual(sweeps, d.Revocations) {
+		t.Errorf("facade sweeps %v, session run's %v", sweeps, d.Revocations)
+	}
 	base, err := Run("quickjs", Purecap, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -60,5 +74,22 @@ func TestRunTemporalSafetyFacade(t *testing.T) {
 	overhead := res.Metrics.Seconds/base.Metrics.Seconds - 1
 	if overhead < 0 || overhead > 0.25 {
 		t.Errorf("temporal-safety overhead = %+.1f%%, want low single digits", overhead*100)
+	}
+}
+
+// TestCoRunClampsScale: CoRun measures at the same clamped scale as Run,
+// so scale 0 runs the default length rather than a shortened body.
+func TestCoRunClampsScale(t *testing.T) {
+	zero, err := CoRun([]string{"sqlite"}, Purecap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := CoRun([]string{"sqlite"}, Purecap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero[0].Counters != one[0].Counters {
+		t.Fatalf("CoRun at scale 0 ran %d cycles, at scale 1 %d",
+			zero[0].Metrics.Cycles, one[0].Metrics.Cycles)
 	}
 }

@@ -208,7 +208,7 @@ type Machine struct {
 	streamNext int
 
 	// profileOn enables per-function cycle attribution (profile.go), which
-	// costs a float re-estimate per µop call and only feeds Profile() and
+	// costs a float re-estimate per µop call and only feeds
 	// AttributionProfile(). It changes no counter or metric, so it stays
 	// off unless a caller that reads a profile sets it (EnableProfile).
 	profileOn bool
@@ -433,8 +433,8 @@ func (m *Machine) PC() uint64 { return m.fetchPC }
 
 // EnableProfile turns on per-function cycle attribution for this machine,
 // the analogue of pmcstat's sampling mode: call it before Run, and only
-// when Profile() or AttributionProfile() will be read. Without it both
-// return an empty profile; nothing else observable changes.
+// when AttributionProfile() will be read. Without it the profile has no
+// functions; nothing else observable changes.
 func (m *Machine) EnableProfile() { m.profileOn = true }
 
 // DropOwnerCache invalidates the machine's cached owning-allocation range.

@@ -152,17 +152,6 @@ func (m *Machine) attribute(n uint64) {
 	}
 }
 
-// fnCycles is a function's attributed cycle total: the retiring charge
-// (stored in µop units) converted by the pipeline width, plus the stall
-// categories.
-func (m *Machine) fnCycles(f *Fn) float64 {
-	c := f.cat[AttrRetiring] / float64(m.Cfg.Width)
-	for i := AttrFrontend; i < NumAttrCategories; i++ {
-		c += f.cat[i]
-	}
-	return c
-}
-
 // FnProfile is one function's share of the run.
 type FnProfile struct {
 	Name   string
@@ -172,35 +161,6 @@ type FnProfile struct {
 	Share float64
 	// Samples is the pmcstat-style sample count at the given period.
 	Samples uint64
-}
-
-// Profile returns the per-function cycle attribution, sorted by cycles
-// descending. period is the sampling interval in cycles used to derive the
-// pmcstat-style sample counts (e.g. 65536); the shares themselves are
-// exact. It is empty unless EnableProfile was called before Run.
-func (m *Machine) Profile(period uint64) []FnProfile {
-	if period == 0 {
-		period = 65536
-	}
-	var total float64
-	for _, f := range m.fns {
-		total += m.fnCycles(f)
-	}
-	out := make([]FnProfile, 0, len(m.fns))
-	for _, f := range m.fns {
-		if f.uops == 0 {
-			continue
-		}
-		cycles := m.fnCycles(f)
-		p := FnProfile{Name: f.Name, Cycles: cycles, Uops: f.uops}
-		if total > 0 {
-			p.Share = cycles / total
-		}
-		p.Samples = uint64(cycles / float64(period))
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cycles > out[j].Cycles })
-	return out
 }
 
 // FormatProfile renders the top-n profile entries as a pmcstat-style
@@ -262,6 +222,26 @@ type AttributionProfile struct {
 	Functions []FnAttribution `json:"functions"`
 	// Residual is the unattributed remainder (see ResidualName).
 	Residual FnAttribution `json:"residual"`
+}
+
+// Sampled renders the profile as pmcstat-style samples, in the profile's
+// order (cycles descending). period is the sampling interval in cycles and
+// must be positive (pmcstat's default is 65536); it only derives the
+// sample counts, the shares are exact. Shares are fractions of the
+// attributed cycles, so the residual is left out.
+func (p AttributionProfile) Sampled(period uint64) []FnProfile {
+	var total float64
+	for _, f := range p.Functions {
+		total += f.Cycles
+	}
+	out := make([]FnProfile, len(p.Functions))
+	for i, f := range p.Functions {
+		out[i] = FnProfile{Name: f.Name, Cycles: f.Cycles, Uops: f.Uops, Samples: uint64(f.Cycles / float64(period))}
+		if total > 0 {
+			out[i].Share = f.Cycles / total
+		}
+	}
+	return out
 }
 
 // AttributionProfile snapshots the machine's per-function attribution.

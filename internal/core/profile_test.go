@@ -27,7 +27,7 @@ func TestProfileAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := m.Profile(0)
+	prof := m.AttributionProfile().Sampled(65536)
 	if len(prof) == 0 {
 		t.Fatal("empty profile")
 	}
@@ -68,7 +68,7 @@ func TestProfileSharesSumToOne(t *testing.T) {
 		m.Return()
 	})
 	var sum float64
-	for _, p := range m.Profile(0) {
+	for _, p := range m.AttributionProfile().Sampled(65536) {
 		sum += p.Share
 	}
 	if sum < 0.99 || sum > 1.01 {
@@ -94,7 +94,7 @@ func TestProfileStallsAttributedToIssuer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := m.Profile(0)
+	prof := m.AttributionProfile().Sampled(65536)
 	if prof[0].Name != "misser" || prof[0].Share < 0.9 {
 		t.Errorf("stalls not attributed: top = %s (%.2f)", prof[0].Name, prof[0].Share)
 	}
@@ -130,7 +130,7 @@ func TestAttributionIsOptIn(t *testing.T) {
 	}
 	plain, profiled := run(false), run(true)
 
-	if p := plain.Profile(0); len(p) != 0 {
+	if p := plain.AttributionProfile().Sampled(65536); len(p) != 0 {
 		t.Fatalf("machine without EnableProfile attributed %d functions", len(p))
 	}
 	pa := plain.AttributionProfile()
@@ -164,7 +164,7 @@ func TestAttributionIsOptIn(t *testing.T) {
 	if pp.Totals != pa.Totals || pp.TotalEvents != pa.TotalEvents {
 		t.Fatal("EnableProfile changed the whole-run totals")
 	}
-	prof := profiled.Profile(0)
+	prof := pp.Sampled(65536)
 	if len(prof) == 0 || len(pp.Functions) == 0 {
 		t.Fatal("EnableProfile produced an empty profile")
 	}

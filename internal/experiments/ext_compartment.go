@@ -86,7 +86,7 @@ func runExtCompartment(s *Session) (string, error) {
 
 	// One monolithic and one compartmentalized kernel per ABI, all
 	// independent: run them across the fleet, then render in ABI order.
-	krs := make([]*KernelResult, 2*len(abis))
+	krs := make([]*RunData, 2*len(abis))
 	err := fanOut(len(krs), func(i int) (err error) {
 		comp := i%2 == 1
 		id := fmt.Sprintf("compartment/sqlite:q=%d:r=%d:comp=%t", queries, rows, comp)
@@ -108,7 +108,7 @@ func runExtCompartment(s *Session) (string, error) {
 	for j, a := range abis {
 		mono, comp := krs[2*j], krs[2*j+1]
 		monoS, compS := mono.Metrics.Seconds, comp.Metrics.Seconds
-		perCrossing := float64(comp.Cycles()-mono.Cycles()) / queries
+		perCrossing := float64(comp.Metrics.Cycles-mono.Metrics.Cycles) / queries
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%+.1f%%\t%.0f\n",
 			a, monoS*1e3, compS*1e3, (compS/monoS-1)*100, perCrossing)
 	}

@@ -31,10 +31,14 @@ func init() {
 func runExtRevocation(s *Session) (string, error) {
 	names := []string{"quickjs", "520.omnetpp_r", "sqlite", "523.xalancbmk_r"}
 
-	// Each workload's temporal-safety kernel is independent of the others':
-	// run them across the fleet, then render in workload order.
+	// The temporal-safety runs are session runs under a configuration that
+	// adds TemporalSafety, as the ablations derive theirs. Each workload is
+	// independent of the others': run them across the fleet, then render
+	// in workload order.
+	temporal := s.derive()
+	temporal.Configure = func(cfg *core.Config) { cfg.TemporalSafety = true }
 	bases := make([]*RunData, len(names))
-	krs := make([]*KernelResult, len(names))
+	temps := make([]*RunData, len(names))
 	err := fanOut(len(names), func(i int) error {
 		name := names[i]
 		w, err := workloads.ByName(name)
@@ -44,11 +48,8 @@ func runExtRevocation(s *Session) (string, error) {
 		if bases[i] = s.Run(w, abi.Purecap); bases[i].Err != nil {
 			return fmt.Errorf("%s: %w", name, bases[i].Err)
 		}
-		cfg := core.DefaultConfig(abi.Purecap)
-		cfg.TemporalSafety = true
-		krs[i], err = s.RunKernel("revocation/"+name, cfg, func(m *core.Machine) { w.Run(m, s.Scale) })
-		if err != nil {
-			return fmt.Errorf("%s+temporal: %w", name, err)
+		if temps[i] = temporal.Run(w, abi.Purecap); temps[i].Err != nil {
+			return fmt.Errorf("%s+temporal: %w", name, temps[i].Err)
 		}
 		return nil
 	})
@@ -61,11 +62,11 @@ func runExtRevocation(s *Session) (string, error) {
 	tw := tabwriter.NewWriter(&b, 1, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tpurecap(ms)\t+temporal(ms)\toverhead\tsweeps\tgranules scanned\tcaps revoked\treclaimed(KiB)")
 	for i, name := range names {
-		base, kr := bases[i], krs[i]
-		tm := kr.Metrics
+		base, temp := bases[i], temps[i]
+		tm := temp.Metrics
 
 		var scanned, revoked, reclaimed uint64
-		for _, st := range kr.Revocations {
+		for _, st := range temp.Revocations {
 			scanned += st.GranulesScanned
 			revoked += st.CapsRevoked
 			reclaimed += st.BytesReclaimed
@@ -73,7 +74,7 @@ func runExtRevocation(s *Session) (string, error) {
 		overhead := tm.Seconds/base.Metrics.Seconds - 1
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%+.1f%%\t%d\t%d\t%d\t%d\n",
 			name, base.Metrics.Seconds*1e3, tm.Seconds*1e3, overhead*100,
-			len(kr.Revocations), scanned, revoked, reclaimed>>10)
+			len(temp.Revocations), scanned, revoked, reclaimed>>10)
 	}
 	tw.Flush()
 	b.WriteString("\nDangling capabilities are invalidated before reuse: use-after-free faults\n")

@@ -67,7 +67,7 @@ func runExtSweep(s *Session) (string, error) {
 
 	// The kernels are independent: run them across the fleet, then render
 	// in sweep order.
-	krs := make([]*KernelResult, len(nodeCounts)*len(abis))
+	krs := make([]*RunData, len(nodeCounts)*len(abis))
 	err := fanOut(len(krs), func(i int) (err error) {
 		n := nodeCounts[i/len(abis)]
 		id := fmt.Sprintf("sweep/chase:nodes=%d:hops=%d", n, hops)

@@ -40,10 +40,11 @@ func busy(m *core.Machine) {
 	}
 }
 
-// TestExtensionKernelsFanOutWithinFleet: ext-sweep and ext-revocation
-// issue their independent kernels concurrently, so on a 2-slot fleet at
-// least two kernel run spans overlap, never more than the two slots, and
-// the rendered text is a serial session's.
+// TestExtensionKernelsFanOutWithinFleet: ext-sweep issues its independent
+// kernels, and ext-revocation its base and temporal-safety runs,
+// concurrently, so on a 2-slot fleet at least two of their spans overlap,
+// never more than the two slots, and the rendered text is a serial
+// session's.
 func TestExtensionKernelsFanOutWithinFleet(t *testing.T) {
 	const slots = 2
 	exps, err := Select([]string{"ext-sweep", "ext-revocation"})
@@ -70,20 +71,22 @@ func TestExtensionKernelsFanOutWithinFleet(t *testing.T) {
 	}
 	s.FinishTelemetry()
 
-	// Sweep the kernel spans' edges in time order, closing before opening
-	// at a tie, and track how many were open at once.
+	// Sweep the kernel and run spans' edges in time order, closing before
+	// opening at a tie, and track how many were open at once.
 	type edge struct {
 		at    float64
 		delta int
 	}
 	var edges []edge
 	for _, sp := range hub.Spans.Snapshot() {
-		if strings.HasPrefix(sp.Name, "kernel:") {
+		if strings.HasPrefix(sp.Name, "kernel:") || strings.HasPrefix(sp.Name, "run:") {
 			edges = append(edges, edge{sp.StartUs, 1}, edge{sp.StartUs + sp.DurUs, -1})
 		}
 	}
-	if len(edges) != 2*(14+4) {
-		t.Fatalf("%d kernel spans, want 18", len(edges)/2)
+	// 14 sweep kernels, plus 4 purecap runs with and 4 without temporal
+	// safety.
+	if len(edges) != 2*(14+4+4) {
+		t.Fatalf("%d kernel and run spans, want 22", len(edges)/2)
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {
@@ -97,10 +100,10 @@ func TestExtensionKernelsFanOutWithinFleet(t *testing.T) {
 		peak = max(peak, open)
 	}
 	if peak < 2 {
-		t.Fatal("kernel runs never overlapped: the extensions issue them one at a time")
+		t.Fatal("simulations never overlapped: the extensions issue them one at a time")
 	}
 	if peak > slots {
-		t.Fatalf("%d kernel runs open at once on a %d-slot fleet", peak, slots)
+		t.Fatalf("%d simulations open at once on a %d-slot fleet", peak, slots)
 	}
 }
 
@@ -118,7 +121,7 @@ func TestConcurrentKernelsExecuteOnce(t *testing.T) {
 	}
 
 	const callers = 4
-	results := make([]*KernelResult, callers)
+	results := make([]*RunData, callers)
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)

@@ -55,7 +55,9 @@ func (s *Session) profileStoreKey(w *workloads.Workload, a abi.ABI, cfg core.Con
 // for the same pair share one execution; profiles round-trip through the
 // result store bit-exactly, so a warm campaign re-renders with zero misses
 // and byte-identical output. Every returned profile has passed
-// profile.Reconcile against its run's counter file.
+// profile.Reconcile against its run's counter file. Like Run, a run that
+// faults keeps its partial result: its profile up to the fault comes back
+// (and is stored) together with the run error.
 func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.AttributionProfile, error) {
 	c := s.memoized(memoKey{workload: w.Name, abi: a, profile: true}, func(c *memoCell) {
 		cfg := s.effectiveConfig(a)
@@ -68,6 +70,9 @@ func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.Attributio
 			return
 		}
 		c.prof = e.Profile
+		if err := e.Error.Reconstruct(); err != nil {
+			c.err = fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
+		}
 		s.campaignObserver().profiled(w, a, c.prof)
 	})
 	return c.prof, c.err
@@ -76,26 +81,23 @@ func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.Attributio
 // profileOnce performs one profiled execution: the session's supervision
 // and lockstep hooks, plus — unlike executeOnce — EnableProfile, so the
 // interpreter attributes every µop to the function executing it. The
-// profile is reconciled against the run's counter file before it is
-// stored.
+// profile, partial when the run faulted, is reconciled against the run's
+// counter file before it is stored together with the run error.
 func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, run *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
 	_, setup := s.attemptSetup(w, a, 0, s.campaignObserver(), run)
-	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, func(m *core.Machine) {
+	m, runErr := workloads.ExecuteHooked(w, cfg, s.Scale, func(m *core.Machine) {
 		m.EnableProfile()
 		if setup != nil {
 			setup(m)
 		}
 	})
-	if err != nil {
-		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
-	}
 	prof := m.AttributionProfile()
 	if err := profile.Reconcile(prof, &m.C); err != nil {
 		return nil, fmt.Errorf("profile %s/%s: %w", w.Name, a, err)
 	}
 	e := &resultstore.Entry{Key: key, Attempts: 1, Profile: &prof}
-	fillCoreResult(&e.CoreResult, m, nil, nil)
+	fillCoreResult(&e.CoreResult, m, runErr)
 	return e, nil
 }
 

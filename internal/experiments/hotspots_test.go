@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"cherisim/internal/abi"
+	"cherisim/internal/core"
+	"cherisim/internal/profile"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/workloads"
 )
@@ -94,6 +98,44 @@ func TestProfileRunWarmFromStore(t *testing.T) {
 	}
 	if warm.Telemetry.Profiles.Len() != 1 {
 		t.Error("profile not published to the hub's profile store")
+	}
+}
+
+// TestProfileRunKeepsPartialProfile: a profiled run that faults returns
+// its profile up to the fault, reconciled against the run's counters,
+// together with the fault — as Run keeps partial counters — and a second
+// session over the same store serves both without executing.
+func TestProfileRunKeepsPartialProfile(t *testing.T) {
+	dir := t.TempDir()
+	w := mustWorkload(t, "502.gcc_r")
+
+	cold := storeSession(t, dir)
+	pc, errc := cold.ProfileRun(w, abi.Purecap)
+	var f *core.Fault
+	if !errors.As(errc, &f) {
+		t.Fatalf("ProfileRun error = %v, want the capability fault", errc)
+	}
+	if pc == nil || len(pc.Functions) == 0 {
+		t.Fatal("faulting profiled run returned no partial profile")
+	}
+	// Attribution changes no counter, so the measured run's partial
+	// counter file is the one the profile was taken from.
+	if d := cold.Run(w, abi.Purecap); d.Err == nil {
+		t.Fatal("measured run did not fault")
+	} else if err := profile.Reconcile(*pc, &d.Counters); err != nil {
+		t.Fatalf("partial profile does not reconcile: %v", err)
+	}
+
+	warm := storeSession(t, dir)
+	pw, errw := warm.ProfileRun(w, abi.Purecap)
+	if n := warm.Executions(); n != 0 {
+		t.Fatalf("warm session executed %d times, want 0", n)
+	}
+	if errw == nil || errw.Error() != errc.Error() {
+		t.Fatalf("warm error %v, want %v", errw, errc)
+	}
+	if !reflect.DeepEqual(pc, pw) {
+		t.Fatal("warm partial profile differs from the cold one")
 	}
 }
 

@@ -73,12 +73,8 @@ func runScale(s *Session) (string, error) {
 		return "", err
 	}
 	spec := func(a abi.ABI) soc.CoreSpec {
-		cfg := core.DefaultConfig(a)
-		if s.Configure != nil {
-			s.Configure(&cfg)
-		}
 		return soc.CoreSpec{
-			Config: cfg,
+			Config: s.effectiveConfig(a),
 			Body:   func(m *core.Machine) { w.Run(m, s.Scale) },
 		}
 	}
@@ -160,7 +156,7 @@ func runScale(s *Session) (string, error) {
 
 // scaleCell folds one co-run into a report cell and verifies the fabric's
 // conservation laws against the cores' PMU counter files.
-func scaleCell(topoKind string, a abi.ABI, res []CoRunCore, fab *soc.FabricStats, soloSec float64) (report.ScaleCell, []string) {
+func scaleCell(topoKind string, a abi.ABI, res []RunData, fab *soc.FabricStats, soloSec float64) (report.ScaleCell, []string) {
 	var errs []string
 	cell := report.ScaleCell{
 		Topology: topoKind,
@@ -186,12 +182,11 @@ func scaleCell(topoKind string, a abi.ABI, res []CoRunCore, fab *soc.FabricStats
 	cell.WorstSlowdown = worst
 	cell.LLCReadMR = mrSum / float64(len(res))
 
-	sliceAcc, coreAcc, linkTrav, coreHops := fab.Totals()
+	sliceAcc, coreAcc, _, coreHops := fab.Totals()
 	cell.Accesses = sliceAcc
 	if coreAcc > 0 {
 		cell.HopsPerAccess = float64(coreHops) / float64(coreAcc)
 	}
-	_ = linkTrav
 	for i := range fab.Slices {
 		cell.SliceContention += fab.Slices[i].ContentionCycles
 	}

@@ -25,13 +25,18 @@ import (
 	"cherisim/internal/workloads"
 )
 
-// RunData is the retained outcome of one workload execution.
+// RunData is the retained outcome of one simulated machine — a Run, a
+// RunKernel or one core of a CoRun — decoded from its stored result
+// (decodeCore). Attempts, Injected and Witness are set by Run only.
 type RunData struct {
 	Counters pmu.Counters
 	Metrics  metrics.Metrics
 	Topdown  topdown.Breakdown
 	Heap     alloc.Stats
 	Err      error
+	// Revocations lists the revocation sweeps of a machine that ran with
+	// TemporalSafety (nil otherwise).
+	Revocations []core.RevocationStats
 	// Attempts counts executions of this pair: 1 for an undisturbed run,
 	// more when transient injected faults were retried. Counters and
 	// Injected describe the final attempt.
@@ -526,7 +531,7 @@ func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.
 		wr := w.Canary(m)
 		e.Witness = &wr
 	}
-	fillCoreResult(&e.CoreResult, m, err, nil)
+	fillCoreResult(&e.CoreResult, m, err)
 	return e, err
 }
 

@@ -6,10 +6,8 @@ import (
 	"strings"
 
 	"cherisim/internal/abi"
-	"cherisim/internal/alloc"
 	"cherisim/internal/core"
 	"cherisim/internal/metrics"
-	"cherisim/internal/pmu"
 	"cherisim/internal/report"
 	"cherisim/internal/resultstore"
 	"cherisim/internal/soc"
@@ -115,54 +113,52 @@ func (s *Session) save(e *resultstore.Entry, obs *runObserver) {
 	}
 }
 
-// fillCoreResult populates one stored machine outcome.
-func fillCoreResult(r *resultstore.CoreResult, m *core.Machine, err error, revs []core.RevocationStats) {
+// fillCoreResult populates one stored machine outcome. Revocation sweeps
+// are recorded as the machine reports them: nil unless it ran with
+// TemporalSafety.
+func fillCoreResult(r *resultstore.CoreResult, m *core.Machine, err error) {
 	r.SetCounters(&m.C)
 	r.Heap = m.Heap.Stats()
 	r.Uops = m.Uops()
-	r.Revocations = revs
+	r.Revocations = m.Revocations()
 	r.Error = resultstore.EncodeError(err)
 }
 
-// runDataFromEntry rebuilds a RunData, recomputing the derived metrics
-// from the stored counters so a result can never disagree with the current
-// formulas (a formula change bumps the model fingerprint anyway). Executed
-// and store-served runs decode through the same path.
-func runDataFromEntry(e *resultstore.Entry) *RunData {
-	d := &RunData{
-		Attempts: e.Attempts,
-		Injected: e.Injected,
-		Witness:  e.Witness,
-		Err:      e.Error.Reconstruct(),
-	}
-	if c, ok := e.CountersFile(); ok {
+// decodeCore is the one decoder of a stored machine outcome. It recomputes
+// the derived metrics from the stored counters, so a result can never
+// disagree with the current formulas (a formula change bumps the model
+// fingerprint anyway). Executed and store-served results decode through
+// it alike.
+func decodeCore(r *resultstore.CoreResult) RunData {
+	d := RunData{Err: r.Error.Reconstruct(), Revocations: r.Revocations}
+	if c, ok := r.CountersFile(); ok {
 		d.Counters = c
 		d.Metrics = metrics.Compute(&c)
 		d.Topdown = topdown.Analyze(&c)
-		d.Heap = e.Heap
-		d.Uops = e.Uops
+		d.Heap = r.Heap
+		d.Uops = r.Uops
 	}
 	return d
 }
 
-// KernelResult is the retained outcome of one custom-machine kernel run —
-// what the sweep/compartment/revocation experiments consume from the
-// machines they used to build by hand.
-type KernelResult struct {
-	Counters    pmu.Counters
-	Metrics     metrics.Metrics
-	Heap        alloc.Stats
-	Uops        uint64
-	Revocations []core.RevocationStats
+// runDataFromEntry decodes a run entry: its machine outcome plus the
+// supervision fields.
+func runDataFromEntry(e *resultstore.Entry) *RunData {
+	d := decodeCore(&e.CoreResult)
+	d.Attempts = e.Attempts
+	d.Injected = e.Injected
+	d.Witness = e.Witness
+	return &d
 }
 
-// RunKernel executes body on a fresh machine under cfg on one worker slot:
-// id must uniquely name the kernel including every parameter that shapes
-// its behaviour (the key also folds in cfg, the session scale and the
-// model fingerprint). Failed kernel runs are returned as errors and never
-// stored — they abort their experiment, so there is no render path that
-// needs a cached failure.
-func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)) (*KernelResult, error) {
+// RunKernel executes body, a synthetic kernel built outside the workload
+// registry, on a fresh machine under cfg on one worker slot: id must
+// uniquely name the kernel including every parameter that shapes its
+// behaviour (the key also folds in cfg, the session scale and the model
+// fingerprint). Catalogue workloads go through Run instead. Failed kernel
+// runs are returned as errors and never stored — they abort their
+// experiment, so there is no render path that needs a cached failure.
+func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)) (*RunData, error) {
 	key := s.unitKey(resultstore.KindKernel, id, resultstore.ConfigFingerprint(cfg))
 	e, err := s.do(key, 1, func(*telemetry.Span, int) (*resultstore.Entry, error) {
 		s.execs.Add(1)
@@ -174,30 +170,14 @@ func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)
 			return nil, err
 		}
 		e := &resultstore.Entry{Key: key}
-		fillCoreResult(&e.CoreResult, m, nil, m.Revocations())
+		fillCoreResult(&e.CoreResult, m, nil)
 		return e, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	r := &KernelResult{Heap: e.Heap, Uops: e.Uops, Revocations: e.Revocations}
-	if c, ok := e.CountersFile(); ok {
-		r.Counters = c
-		r.Metrics = metrics.Compute(&c)
-	}
-	return r, nil
-}
-
-// Cycles returns the kernel's executed cycle count.
-func (r *KernelResult) Cycles() uint64 { return r.Counters.Get(pmu.CPU_CYCLES) }
-
-// CoRunCore is one core's outcome of a stored co-run.
-type CoRunCore struct {
-	Counters pmu.Counters
-	Metrics  metrics.Metrics
-	Heap     alloc.Stats
-	Uops     uint64
-	Err      error
+	d := decodeCore(&e.CoreResult)
+	return &d, nil
 }
 
 // CoRun executes a co-run of specs on the SoC fabric topo as one stored
@@ -208,13 +188,13 @@ type CoRunCore struct {
 // uniquely name the co-run including its workload/parameter mix; the key
 // also folds in every core's configuration, in order, and the topology
 // fingerprint, so a fabric-parameter change re-runs instead of serving
-// stale results. The entry carries the fabric's slice/link accounting.
-// Like Run, co-runs with failed cores are stored too: the unit is
-// deterministic, so a warm campaign reproduces the same per-core errors
-// without simulating. A spec-validation error (an invalid topology, a spec
-// list that does not fill it, divergent LLC geometry) is returned before
-// anything persists.
-func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]CoRunCore, *soc.FabricStats, error) {
+// stale results. It returns one RunData per core, in spec order, and the
+// fabric's slice/link accounting. Like Run, co-runs with failed cores are
+// stored too: the unit is deterministic, so a warm campaign reproduces the
+// same per-core errors without simulating. A spec-validation error (an
+// invalid topology, a spec list that does not fill it, divergent LLC
+// geometry) is returned before anything persists.
+func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]RunData, *soc.FabricStats, error) {
 	topo = topo.WithDefaults()
 	key := s.unitKey(resultstore.KindCoRun, id, coRunConfigKey(specs)+"|"+topo.Fingerprint())
 	e, err := s.do(key, len(specs), func(_ *telemetry.Span, slots int) (*resultstore.Entry, error) {
@@ -229,7 +209,11 @@ func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]C
 	if err != nil {
 		return nil, nil, err
 	}
-	return coRunFromEntry(e), e.Fabric, nil
+	cores := make([]RunData, len(e.Cores))
+	for i := range e.Cores {
+		cores[i] = decodeCore(&e.Cores[i])
+	}
+	return cores, e.Fabric, nil
 }
 
 // coRunConfigKey folds every core's configuration, in order, into one
@@ -264,25 +248,9 @@ func (s *Session) wrapMachineSetup(specs []soc.CoreSpec) {
 func coRunEntry(key resultstore.Key, res *soc.TopoResult) *resultstore.Entry {
 	e := &resultstore.Entry{Key: key, Cores: make([]resultstore.CoreResult, len(res.Cores)), Fabric: res.Fabric}
 	for i, r := range res.Cores {
-		fillCoreResult(&e.Cores[i], r.Machine, r.Err, nil)
+		fillCoreResult(&e.Cores[i], r.Machine, r.Err)
 	}
 	return e
-}
-
-// coRunFromEntry rebuilds the per-core results of a stored co-run.
-func coRunFromEntry(e *resultstore.Entry) []CoRunCore {
-	out := make([]CoRunCore, len(e.Cores))
-	for i := range e.Cores {
-		cr := &e.Cores[i]
-		out[i].Err = cr.Error.Reconstruct()
-		out[i].Heap = cr.Heap
-		out[i].Uops = cr.Uops
-		if c, ok := cr.CountersFile(); ok {
-			out[i].Counters = c
-			out[i].Metrics = metrics.Compute(&c)
-		}
-	}
-	return out
 }
 
 // StoreStats returns the session store's traffic counters (zero without a

@@ -45,6 +45,9 @@ func sameRun(t *testing.T, cold, warm *RunData) {
 	if !reflect.DeepEqual(cold.Injected, warm.Injected) {
 		t.Error("injected events differ between cold and warm run")
 	}
+	if !reflect.DeepEqual(cold.Revocations, warm.Revocations) {
+		t.Error("revocation sweeps differ between cold and warm run")
+	}
 	switch {
 	case (cold.Err == nil) != (warm.Err == nil):
 		t.Errorf("error presence differs: %v vs %v", cold.Err, warm.Err)
@@ -258,6 +261,34 @@ func TestCheckModeBypassesStoreLookups(t *testing.T) {
 	}
 }
 
+// TestRevocationsRoundTrip: a Run under TemporalSafety carries its
+// revocation sweeps in RunData, and a second session over the same store
+// serves the same sweeps without executing.
+func TestRevocationsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	w := mustWorkload(t, "quickjs")
+	temporal := func(s *Session) *Session {
+		s.Configure = func(cfg *core.Config) { cfg.TemporalSafety = true }
+		return s
+	}
+
+	cold := temporal(storeSession(t, dir))
+	dc := cold.Run(w, abi.Purecap)
+	if dc.Err != nil {
+		t.Fatal(dc.Err)
+	}
+	if len(dc.Revocations) == 0 {
+		t.Fatal("no revocation sweeps for the churn-heavy interpreter")
+	}
+
+	warm := temporal(storeSession(t, dir))
+	dw := warm.Run(w, abi.Purecap)
+	if n := warm.Executions(); n != 0 {
+		t.Fatalf("warm session executed %d times, want 0", n)
+	}
+	sameRun(t, dc, dw)
+}
+
 // TestKernelRoundTrips: RunKernel results (counters, heap, revocation
 // sweeps) serve identically from a warm store.
 func TestKernelRoundTrips(t *testing.T) {
@@ -296,7 +327,7 @@ func TestKernelRoundTrips(t *testing.T) {
 	if k1.Counters != k2.Counters || !reflect.DeepEqual(k1.Metrics, k2.Metrics) {
 		t.Error("kernel counters/metrics differ between cold and warm")
 	}
-	if k1.Heap != k2.Heap || k1.Uops != k2.Uops || k1.Cycles() != k2.Cycles() {
+	if k1.Heap != k2.Heap || k1.Uops != k2.Uops || k1.Metrics.Cycles != k2.Metrics.Cycles {
 		t.Error("kernel heap/uops/cycles differ between cold and warm")
 	}
 	if !reflect.DeepEqual(k1.Revocations, k2.Revocations) {

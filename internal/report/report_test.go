@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cherisim/internal/abi"
+	"cherisim/internal/core"
 	"cherisim/internal/pmu"
 	"cherisim/internal/workloads"
 )
@@ -19,7 +20,7 @@ func sampleDataset(t *testing.T) *Dataset {
 		t.Fatal(err)
 	}
 	for _, a := range []abi.ABI{abi.Hybrid, abi.Purecap} {
-		m, err := workloads.Execute(w, a, 1)
+		m, err := workloads.ExecuteHooked(w, core.DefaultConfig(a), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

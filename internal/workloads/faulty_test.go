@@ -29,7 +29,7 @@ func TestFaultyRegistrySeparate(t *testing.T) {
 // in-address-space security exception under purecap and benchmark.
 func TestAppendixTable5CrashBehaviour(t *testing.T) {
 	for _, w := range Faulty() {
-		m, err := Execute(w, abi.Hybrid, 1)
+		m, err := execute(w, abi.Hybrid, 1)
 		if err != nil {
 			t.Errorf("%s/hybrid crashed: %v (paper: executes without errors)", w.Name, err)
 		}
@@ -37,7 +37,7 @@ func TestAppendixTable5CrashBehaviour(t *testing.T) {
 			t.Errorf("%s/hybrid did no work", w.Name)
 		}
 		for _, a := range []abi.ABI{abi.Benchmark, abi.Purecap} {
-			m, err := Execute(w, a, 1)
+			m, err := execute(w, a, 1)
 			if err == nil {
 				t.Errorf("%s/%s did not fault (paper: security exception)", w.Name, a)
 				continue
@@ -57,7 +57,7 @@ func TestAppendixTable5CrashBehaviour(t *testing.T) {
 
 func TestGccFaultClassIsTagViolation(t *testing.T) {
 	w, _ := ByName("502.gcc_r")
-	_, err := Execute(w, abi.Purecap, 1)
+	_, err := execute(w, abi.Purecap, 1)
 	if !errors.Is(err, cap.ErrTagViolation) {
 		t.Errorf("gcc fault = %v, want tag violation (pointer laundered through integer)", err)
 	}
@@ -65,7 +65,7 @@ func TestGccFaultClassIsTagViolation(t *testing.T) {
 
 func TestMcfFaultClassIsBoundsViolation(t *testing.T) {
 	w, _ := ByName("505.mcf_r")
-	_, err := Execute(w, abi.Purecap, 1)
+	_, err := execute(w, abi.Purecap, 1)
 	if !errors.Is(err, cap.ErrBoundsViolation) {
 		t.Errorf("mcf fault = %v, want bounds violation (cross-allocation arithmetic)", err)
 	}

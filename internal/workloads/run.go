@@ -3,28 +3,19 @@ package workloads
 import (
 	"errors"
 
-	"cherisim/internal/abi"
 	"cherisim/internal/core"
 )
 
-// Execute runs workload w on a fresh default-configured machine under ABI
-// a at the given scale and returns the machine with its counters
-// finalized. Capability faults surface as the returned error.
-func Execute(w *Workload, a abi.ABI, scale int) (*core.Machine, error) {
-	return ExecuteConfig(w, core.DefaultConfig(a), scale)
-}
-
-// ExecuteConfig is Execute with an explicit machine configuration, used by
-// the ablation experiments (capability-aware predictor, resized caches).
-func ExecuteConfig(w *Workload, cfg core.Config, scale int) (*core.Machine, error) {
-	return ExecuteHooked(w, cfg, scale, nil)
-}
-
-// ExecuteHooked is ExecuteConfig with a setup hook invoked on the fresh
-// machine before the body runs. The supervisor uses it to install quantum
-// callbacks (watchdog deadlines, fault injection) without the workload
+// ExecuteHooked is the one machine-execution primitive: it runs workload w
+// at the given scale (at least 1) on a fresh machine built from cfg and
+// returns the machine with its counters finalized; capability faults
+// surface as the returned error. setup, when non-nil, is invoked on the
+// fresh machine before the body runs, so the session can install its
+// supervision, lockstep shadows and attribution without the workload
 // kernels knowing. A non-Fault panic escaping the body is contained by
-// Machine.Run; the workload name is stamped onto it here.
+// Machine.Run; the workload name is stamped onto it here. Measurements go
+// through experiments.Session, which adds the store, deduplication and
+// worker bound.
 func ExecuteHooked(w *Workload, cfg core.Config, scale int, setup func(*core.Machine)) (*core.Machine, error) {
 	if scale < 1 {
 		scale = 1

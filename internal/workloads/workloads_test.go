@@ -5,9 +5,15 @@ import (
 	"testing"
 
 	"cherisim/internal/abi"
+	"cherisim/internal/core"
 	"cherisim/internal/metrics"
 	"cherisim/internal/pmu"
 )
+
+// execute runs w under ABI a's default configuration with no setup hook.
+func execute(w *Workload, a abi.ABI, scale int) (*core.Machine, error) {
+	return ExecuteHooked(w, core.DefaultConfig(a), scale, nil)
+}
 
 func TestRegistryComplete(t *testing.T) {
 	if n := len(All()); n != 20 {
@@ -43,7 +49,7 @@ func run(t *testing.T, name string, a abi.ABI) *metrics.Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Execute(w, a, 1)
+	m, err := execute(w, a, 1)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, a, err)
 	}
@@ -55,7 +61,7 @@ func TestAllWorkloadsRunUnderAllABIs(t *testing.T) {
 	// Smoke coverage of the full 20x3 matrix, checking counter sanity.
 	for _, w := range All() {
 		for _, a := range abi.All() {
-			m, err := Execute(w, a, 1)
+			m, err := execute(w, a, 1)
 			if err != nil {
 				t.Errorf("%s/%s faulted: %v", w.Name, a, err)
 				continue
@@ -76,11 +82,11 @@ func TestAllWorkloadsRunUnderAllABIs(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	for _, name := range []string{"sqlite", "541.leela_r"} {
 		w, _ := ByName(name)
-		a, err := Execute(w, abi.Purecap, 1)
+		a, err := execute(w, abi.Purecap, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Execute(w, abi.Purecap, 1)
+		b, err := execute(w, abi.Purecap, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +104,7 @@ func TestMemoryIntensityMatchesPaper(t *testing.T) {
 		if w.PaperMI == 0 {
 			continue // x264 is not tabulated in the paper
 		}
-		m, err := Execute(w, abi.Hybrid, 1)
+		m, err := execute(w, abi.Hybrid, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +124,7 @@ func overheads(t *testing.T, name string) (bench, pure float64) {
 	}
 	var cyc [3]float64
 	for i, a := range abi.All() {
-		m, err := Execute(w, a, 1)
+		m, err := execute(w, a, 1)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, a, err)
 		}
@@ -187,7 +193,7 @@ func TestCapabilityDensityShape(t *testing.T) {
 	high := []string{"520.omnetpp_r", "523.xalancbmk_r", "sqlite", "quickjs"}
 	for _, name := range high {
 		w, _ := ByName(name)
-		m, err := Execute(w, abi.Purecap, 1)
+		m, err := execute(w, abi.Purecap, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +204,7 @@ func TestCapabilityDensityShape(t *testing.T) {
 	}
 	for _, name := range []string{"519.lbm_r", "llama-matmul"} {
 		w, _ := ByName(name)
-		m, err := Execute(w, abi.Purecap, 1)
+		m, err := execute(w, abi.Purecap, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +222,7 @@ func TestDPShareGrowsUnderPurecap(t *testing.T) {
 	for _, name := range []string{"520.omnetpp_r", "sqlite", "quickjs", "541.leela_r"} {
 		w, _ := ByName(name)
 		share := func(a abi.ABI) (dp, ld float64) {
-			m, err := Execute(w, a, 1)
+			m, err := execute(w, a, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +247,7 @@ func TestBranchMRStableAcrossABIs(t *testing.T) {
 		w, _ := ByName(name)
 		var mr [3]float64
 		for i, a := range abi.All() {
-			m, err := Execute(w, a, 1)
+			m, err := execute(w, a, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,11 +265,11 @@ func TestBranchMRStableAcrossABIs(t *testing.T) {
 func TestPurecapFootprintGrows(t *testing.T) {
 	// §4.4: QuickJS's memory footprint grew ~36 % under purecap.
 	w, _ := ByName("quickjs")
-	hy, err := Execute(w, abi.Hybrid, 1)
+	hy, err := execute(w, abi.Hybrid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := Execute(w, abi.Purecap, 1)
+	pc, err := execute(w, abi.Purecap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +281,11 @@ func TestPurecapFootprintGrows(t *testing.T) {
 
 func TestScaleMultipliesWork(t *testing.T) {
 	w, _ := ByName("519.lbm_r")
-	m1, err := Execute(w, abi.Hybrid, 1)
+	m1, err := execute(w, abi.Hybrid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Execute(w, abi.Hybrid, 2)
+	m2, err := execute(w, abi.Hybrid, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +330,11 @@ func TestSpeedVariantsDifferFromRateVariants(t *testing.T) {
 	for _, pair := range pairs {
 		r, _ := ByName(pair[0])
 		s, _ := ByName(pair[1])
-		mr, err := Execute(r, abi.Hybrid, 1)
+		mr, err := execute(r, abi.Hybrid, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := Execute(s, abi.Hybrid, 1)
+		ms, err := execute(s, abi.Hybrid, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
