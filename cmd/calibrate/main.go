@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"cherisim/internal/abi"
@@ -19,16 +20,16 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
-	one := flag.String("w", "", "run a single workload")
+	one := flag.String("w", "", "run a single catalogue workload")
 	flag.Parse()
 
-	var ws []*workloads.Workload
+	ws, err := selectWorkloads(*one)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
+		os.Exit(1)
+	}
 	var pairs []experiments.Pair
-	for _, w := range workloads.All() {
-		if *one != "" && w.Name != *one {
-			continue
-		}
-		ws = append(ws, w)
+	for _, w := range ws {
 		for _, a := range abi.All() {
 			pairs = append(pairs, experiments.Pair{Workload: w, ABI: a})
 		}
@@ -72,4 +73,22 @@ func main() {
 			capLD, capSD, l1d, l2, l1i, brmr, fe, be, inst)
 	}
 	tw.Flush()
+}
+
+// selectWorkloads resolves -w: the whole catalogue (workloads.All) when
+// name is empty, else the named workload, which must be in it — the
+// Appendix Table 5 and attack-corpus workloads resolve by name but have no
+// paper characterization to calibrate against.
+func selectWorkloads(name string) ([]*workloads.Workload, error) {
+	if name == "" {
+		return workloads.All(), nil
+	}
+	w, err := workloads.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Contains(workloads.Names(), name) {
+		return nil, fmt.Errorf("%s is outside the catalogue: calibration covers the %d workloads of workloads.All()", name, len(workloads.Names()))
+	}
+	return []*workloads.Workload{w}, nil
 }

@@ -14,7 +14,7 @@
 //	campaignd -http :8080 -store s -workers 8 -depth 16 -weights team-a=3,team-b=1
 //
 //	curl -XPOST localhost:8080/campaigns -d '{"tenant":"team-a","experiments":["table1"]}'
-//	curl localhost:8080/campaigns/c1            # status (state, sims, store delta)
+//	curl localhost:8080/campaigns/c1            # status (state, sims, derived, store delta)
 //	curl localhost:8080/campaigns/c1/result     # rendered body
 //	curl -N localhost:8080/campaigns/c1/events  # SSE progress feed
 //

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -173,8 +175,16 @@ func TestRunCampaignDegradedMode(t *testing.T) {
 	}
 }
 
+// allScale1 is the committed scale-1 -all output: the contract every change
+// keeps byte for byte unless it says why the output moves.
+const allScale1 = "../../testdata/all-scale1.txt"
+
+var update = flag.Bool("update", false, "rewrite testdata/all-scale1.txt from this build's -all render")
+
 // TestRunCampaignSuccessExitCode is the inverse guard: an unconstrained
-// campaign renders everything, writes nothing to stderr, and returns 0.
+// campaign renders everything, writes nothing to stderr, and returns 0. Its
+// stdout must equal testdata/all-scale1.txt (go test -run
+// TestRunCampaignSuccessExitCode -update rewrites the file).
 func TestRunCampaignSuccessExitCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign render in -short mode")
@@ -190,6 +200,32 @@ func TestRunCampaignSuccessExitCode(t *testing.T) {
 	if got := renderedHeaders(stdout.String()); got != len(experiments.Renderable()) {
 		t.Fatalf("%d experiments rendered, want %d", got, len(experiments.Renderable()))
 	}
+	if *update {
+		if err := os.WriteFile(allScale1, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(allScale1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("-all output differs from %s at line %d; if the change is intended, rerun with -update and explain it",
+			allScale1, firstDiffLine(stdout.Bytes(), want))
+	}
+}
+
+// firstDiffLine returns the 1-based number of the first line where a and b
+// differ.
+func firstDiffLine(a, b []byte) int {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := range la {
+		if i >= len(lb) || !bytes.Equal(la[i], lb[i]) {
+			return i + 1
+		}
+	}
+	return len(la) + 1
 }
 
 // renderedHeaders counts the "== id: title (section) ==" banner lines

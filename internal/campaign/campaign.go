@@ -146,11 +146,12 @@ type Campaign struct {
 	events []Event
 	wake   chan struct{} // closed and replaced on every event append
 
-	done   chan struct{} // closed on completion; fields below final after
-	body   []byte
-	failed []experiments.RenderError
-	sims   uint64
-	store  resultstore.Stats // store-traffic delta over the campaign's run
+	done    chan struct{} // closed on completion; fields below final after
+	body    []byte
+	failed  []experiments.RenderError
+	sims    uint64
+	derived uint64
+	store   resultstore.Stats // store-traffic delta over the campaign's run
 }
 
 func newCampaign(id string, spec Spec, exps []*experiments.Experiment) *Campaign {
@@ -222,6 +223,11 @@ type Status struct {
 	// Sims counts machine executions the campaign performed (0 for a fully
 	// warm campaign served from the store).
 	Sims uint64 `json:"sims"`
+	// Derived counts runs the campaign served from a purecap execution's
+	// PCC-free result instead of executing them (purecap-benchmark runs
+	// and PCC-tracking ablation runs; see experiments.Session.Derived). 0
+	// for a fully warm campaign: it reads those runs from the store.
+	Derived uint64 `json:"derived"`
 	// Store is the result-store traffic delta attributed to this campaign's
 	// run (approximate when campaigns run concurrently — the counters are
 	// fleet-wide).
@@ -247,6 +253,7 @@ func (c *Campaign) Status() Status {
 	select {
 	case <-c.done:
 		st.Sims = c.sims
+		st.Derived = c.derived
 		stats := c.store
 		st.Store = &stats
 		for _, f := range c.failed {

@@ -104,12 +104,14 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) []byte {
 // TestCampaignE2E is the tentpole acceptance test: boot the service on a
 // loopback listener, submit a campaign, poll it to completion, and check
 // the rendered body byte-identical against the in-process render the CLI
-// performs. A warm resubmission must then be served entirely from the
-// admission cache: zero simulations, zero disk reads, identical bytes.
+// performs. table4's purecap-benchmark runs are derived from its purecap
+// executions on the cold campaign. A warm resubmission must then be served
+// entirely from the admission cache: zero simulations, zero derivations,
+// zero disk reads, identical bytes.
 func TestCampaignE2E(t *testing.T) {
 	_, ts, _ := bootService(t, t.TempDir())
 
-	cold := postCampaign(t, ts, `{"tenant":"e2e","experiments":["table1"]}`)
+	cold := postCampaign(t, ts, `{"tenant":"e2e","experiments":["table1","table4"]}`)
 	if cold.State != StateQueued && cold.State != StateRunning {
 		t.Fatalf("submitted state = %s", cold.State)
 	}
@@ -120,11 +122,14 @@ func TestCampaignE2E(t *testing.T) {
 	if coldSt.Sims == 0 || coldSt.Store.Writes == 0 {
 		t.Errorf("cold campaign: sims = %d, writes = %d, want both > 0", coldSt.Sims, coldSt.Store.Writes)
 	}
+	if coldSt.Derived == 0 {
+		t.Error("cold campaign derived no runs")
+	}
 	body := fetchResult(t, ts, cold.ID)
 
 	// Byte-identity against the render path cmd/experiments -all drives:
 	// same experiments, fresh storeless session, same writer framing.
-	exps, err := experiments.Select([]string{"table1"})
+	exps, err := experiments.Select([]string{"table1", "table4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +143,10 @@ func TestCampaignE2E(t *testing.T) {
 
 	// Warm resubmission: served from the admission cache, not disk, not
 	// the simulator.
-	warm := postCampaign(t, ts, `{"tenant":"e2e","experiments":["table1"]}`)
+	warm := postCampaign(t, ts, `{"tenant":"e2e","experiments":["table1","table4"]}`)
 	warmSt := awaitDone(t, ts, warm.ID)
-	if warmSt.Sims != 0 {
-		t.Errorf("warm campaign simulated %d times, want 0", warmSt.Sims)
+	if warmSt.Sims != 0 || warmSt.Derived != 0 {
+		t.Errorf("warm campaign simulated %d and derived %d runs, want 0 and 0", warmSt.Sims, warmSt.Derived)
 	}
 	if st := warmSt.Store; st.Misses != 0 || st.Hits != 0 || st.MemHits == 0 {
 		t.Errorf("warm store delta = %+v, want 0 misses, 0 disk hits, > 0 mem hits", st)

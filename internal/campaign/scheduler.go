@@ -267,6 +267,7 @@ func (s *Service) run(c *Campaign) {
 	c.body = body.Bytes()
 	c.failed = failed
 	c.sims = sess.Executions()
+	c.derived = sess.Derived()
 	c.store = resultstore.Stats{
 		Hits:        after.Hits - before.Hits,
 		Misses:      after.Misses - before.Misses,

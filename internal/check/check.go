@@ -231,6 +231,18 @@ func (c *Collector) record(d *Divergence) {
 	c.mu.Unlock()
 }
 
+// Compare records one checked operation of a whole-result oracle, and a
+// divergence of component on op when detail, the first mismatch found, is
+// non-empty. Stream checkers step through a component's operations; this
+// is for a result checked once, as a unit: the session compares each
+// derived run with its execution through it.
+func (c *Collector) Compare(component, op, detail string) {
+	c.operation()
+	if detail != "" {
+		c.record(&Divergence{Component: component, Step: 1, Op: op, Detail: detail, Trace: []string{op}})
+	}
+}
+
 // Report is a point-in-time summary of a collector's lockstep results.
 type Report struct {
 	// Accesses counts checked operations (cache accesses, TLB operations,

@@ -389,26 +389,49 @@ func (m *Machine) finalize() {
 	// Instruction accounting. Classified µops were accumulated live into
 	// the *_SPEC counters; INST_SPEC additionally includes unclassified
 	// auxiliary instructions.
-	inst := m.classUops + uint64(m.auxUops)
+	inst := m.insts()
 	m.C.Add(pmu.INST_SPEC, inst)
 	m.C.Add(pmu.INST_RETIRED, inst)
 
-	// Cycle accounting: issue-limited base plus attributed stalls.
-	base := float64(inst) / float64(m.Cfg.Width)
-	fe := m.feStall + m.pccStall
+	m.cycleCounters(&m.C, m.pccStall)
+}
+
+// insts is the retired instruction count: classified µops plus the
+// unclassified auxiliary instructions.
+func (m *Machine) insts() uint64 { return m.classUops + uint64(m.auxUops) }
+
+// cycleCounters sets c's cycle-accounting counters from the stall
+// accumulators, with pcc as the PCC-bounds stall term: the issue-limited
+// base plus attributed stalls. finalize passes m.pccStall; PCCFreeCounters
+// passes 0.
+func (m *Machine) cycleCounters(c *pmu.Counters, pcc float64) {
+	base := float64(m.insts()) / float64(m.Cfg.Width)
+	fe := m.feStall + pcc
 	beMem := m.beMemL1 + m.beMemL2 + m.beMemExt
 	be := beMem + m.beCore
 	cycles := base + fe + be + m.badSpec
-	m.C.Add(pmu.CPU_CYCLES, uint64(cycles))
-	m.C.Add(pmu.STALL_FRONTEND, uint64(fe))
-	m.C.Add(pmu.STALL_BACKEND, uint64(be))
-	m.C.Add(pmu.STALL_BACKEND_MEM, uint64(beMem))
-	m.C.Add(pmu.STALL_BACKEND_MEM_L1D, uint64(m.beMemL1))
-	m.C.Add(pmu.STALL_BACKEND_MEM_L2D, uint64(m.beMemL2))
-	m.C.Add(pmu.STALL_BACKEND_MEM_EXT, uint64(m.beMemExt))
-	m.C.Add(pmu.STALL_BACKEND_CORE, uint64(m.beCore))
-	m.C.Add(pmu.BAD_SPEC_CYCLES, uint64(m.badSpec))
-	m.C.Add(pmu.PCC_STALL_CYCLES, uint64(m.pccStall))
+	c[pmu.CPU_CYCLES] = uint64(cycles)
+	c[pmu.STALL_FRONTEND] = uint64(fe)
+	c[pmu.STALL_BACKEND] = uint64(be)
+	c[pmu.STALL_BACKEND_MEM] = uint64(beMem)
+	c[pmu.STALL_BACKEND_MEM_L1D] = uint64(m.beMemL1)
+	c[pmu.STALL_BACKEND_MEM_L2D] = uint64(m.beMemL2)
+	c[pmu.STALL_BACKEND_MEM_EXT] = uint64(m.beMemExt)
+	c[pmu.STALL_BACKEND_CORE] = uint64(m.beCore)
+	c[pmu.BAD_SPEC_CYCLES] = uint64(m.badSpec)
+	c[pmu.PCC_STALL_CYCLES] = uint64(pcc)
+}
+
+// PCCFreeCounters returns the finished machine's counter file as it would
+// read without the PCC-bounds stall term. The purecap ABI differs from
+// purecap-benchmark, and from purecap on a PCC-tracking predictor, only in
+// that term: every µop, memory access and heap operation is the same. So
+// a purecap machine's PCC-free counters are those runs' counters. Call it
+// after Run.
+func (m *Machine) PCCFreeCounters() pmu.Counters {
+	c := m.C
+	m.cycleCounters(&c, 0)
+	return c
 }
 
 // Cycles returns total simulated cycles (valid after Run).

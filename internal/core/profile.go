@@ -249,7 +249,7 @@ func (p AttributionProfile) Sampled(period uint64) []FnProfile {
 func (m *Machine) AttributionProfile() AttributionProfile {
 	var p AttributionProfile
 	p.Totals = [NumAttrCategories]float64{
-		AttrRetiring:    float64(m.classUops+uint64(m.auxUops)) / float64(m.Cfg.Width),
+		AttrRetiring:    float64(m.insts()) / float64(m.Cfg.Width),
 		AttrFrontend:    m.feStall,
 		AttrPCC:         m.pccStall,
 		AttrBadSpec:     m.badSpec,
@@ -279,11 +279,45 @@ func (m *Machine) AttributionProfile() AttributionProfile {
 		fa := FnAttribution{Name: f.Name, Uops: f.uops, Categories: f.cat, Events: f.ev}
 		// The retiring charge is tracked in raw µop units; convert it here.
 		fa.Categories[AttrRetiring] = f.cat[AttrRetiring] / float64(m.Cfg.Width)
-		for _, c := range fa.Categories {
-			fa.Cycles += c
-		}
+		fa.sumCycles()
 		p.Functions = append(p.Functions, fa)
 	}
+	p.seal()
+	return p
+}
+
+// WithoutPCC returns the profile as the same run attributes it without the
+// PCC-bounds stall term (see Machine.PCCFreeCounters): AttrPCC is zeroed in
+// the totals and in every function, each function's cycles are recomputed,
+// the functions re-sorted and the residual re-closed. A residual copied
+// from p would miss the new totals in the last bits.
+func (p AttributionProfile) WithoutPCC() AttributionProfile {
+	q := p
+	q.Totals[AttrPCC] = 0
+	q.Functions = append([]FnAttribution(nil), p.Functions...)
+	for i := range q.Functions {
+		q.Functions[i].Categories[AttrPCC] = 0
+		q.Functions[i].sumCycles()
+	}
+	q.seal()
+	return q
+}
+
+// sumCycles sets Cycles to the sum of Categories, in category order.
+func (f *FnAttribution) sumCycles() {
+	f.Cycles = 0
+	for _, c := range f.Categories {
+		f.Cycles += c
+	}
+}
+
+// seal orders Functions by cycles descending (name-ascending tiebreak, for
+// determinism) and closes the books with the residual: summing Functions
+// in slice order and adding Residual must land on Totals bit-exactly.
+// Plain subtraction is already exact in the realistic regime (Sterbenz:
+// the attributed sum is within 2× of the total); the nextafter fixup
+// covers the rest.
+func (p *AttributionProfile) seal() {
 	sort.Slice(p.Functions, func(i, j int) bool {
 		a, b := &p.Functions[i], &p.Functions[j]
 		if a.Cycles != b.Cycles {
@@ -291,12 +325,7 @@ func (m *Machine) AttributionProfile() AttributionProfile {
 		}
 		return a.Name < b.Name
 	})
-
-	// The residual closes the books: summing Functions in slice order and
-	// adding Residual must land on Totals bit-exactly. Plain subtraction is
-	// already exact in the realistic regime (Sterbenz: the attributed sum is
-	// within 2× of the total); the nextafter fixup covers the rest.
-	p.Residual.Name = ResidualName
+	p.Residual = FnAttribution{Name: ResidualName}
 	for i := range p.Totals {
 		var sum float64
 		for _, f := range p.Functions {
@@ -313,7 +342,6 @@ func (m *Machine) AttributionProfile() AttributionProfile {
 		}
 		p.Residual.Events[i] = p.TotalEvents[i] - sum
 	}
-	return p
 }
 
 // exactRemainder returns r such that sum + r == total exactly in float64

@@ -57,12 +57,14 @@ func (s *Session) profileStoreKey(w *workloads.Workload, a abi.ABI, cfg core.Con
 // and byte-identical output. Every returned profile has passed
 // profile.Reconcile against its run's counter file. Like Run, a run that
 // faults keeps its partial result: its profile up to the fault comes back
-// (and is stored) together with the run error.
+// (and is stored) together with the run error, and a profile that differs
+// from the purecap one only by the PCC-bounds term is derived from that
+// profile's execution (derive.go).
 func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.AttributionProfile, error) {
 	c := s.memoized(memoKey{workload: w.Name, abi: a, profile: true}, func(c *memoCell) {
 		cfg := s.effectiveConfig(a)
 		key := s.profileStoreKey(w, a, cfg)
-		e, err := s.do(key, 1, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
+		e, err := s.resolve(key, w, cfg, true, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
 			return s.profileOnce(key, w, a, cfg, run)
 		})
 		if err != nil {
@@ -82,7 +84,8 @@ func (s *Session) ProfileRun(w *workloads.Workload, a abi.ABI) (*core.Attributio
 // and lockstep hooks, plus — unlike executeOnce — EnableProfile, so the
 // interpreter attributes every µop to the function executing it. The
 // profile, partial when the run faulted, is reconciled against the run's
-// counter file before it is stored together with the run error.
+// counter file before it is stored together with the run error. A source
+// execution (derive.go) carries its PCC-free result.
 func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, run *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
 	_, setup := s.attemptSetup(w, a, 0, s.campaignObserver(), run)
@@ -98,6 +101,9 @@ func (s *Session) profileOnce(key resultstore.Key, w *workloads.Workload, a abi.
 	}
 	e := &resultstore.Entry{Key: key, Attempts: 1, Profile: &prof}
 	fillCoreResult(&e.CoreResult, m, runErr)
+	if s.isPCCSource(w, cfg) {
+		e.PCCFree = pccFreeResult(e, m)
+	}
 	return e, nil
 }
 

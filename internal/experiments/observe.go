@@ -25,6 +25,7 @@ type runObserver struct {
 	finished bool
 
 	runsStarted   *telemetry.Counter
+	runsDerived   *telemetry.Counter
 	runsCompleted *telemetry.Counter
 	runsFailed    *telemetry.Counter
 	runsRetried   *telemetry.Counter
@@ -56,6 +57,7 @@ func newRunObserver(hub *telemetry.Hub) *runObserver {
 		hub:           hub,
 		campaign:      hub.Start("campaign"),
 		runsStarted:   m.Counter("runs_started"),
+		runsDerived:   m.Counter("runs_derived"),
 		runsCompleted: m.Counter("runs_completed"),
 		runsFailed:    m.Counter("runs_failed"),
 		runsRetried:   m.Counter("runs_retried"),
@@ -89,6 +91,14 @@ func newRunObserver(hub *telemetry.Hub) *runObserver {
 func (o *runObserver) sfHit() {
 	if o != nil {
 		o.sfHits.Inc()
+	}
+}
+
+// runDerived counts a run served from its source's PCC-free result: no
+// execution, no worker slot and no run span (see derive.go).
+func (o *runObserver) runDerived() {
+	if o != nil {
+		o.runsDerived.Inc()
 	}
 }
 

@@ -143,6 +143,9 @@ type Session struct {
 	obs      *runObserver
 	checkCol *check.Collector
 	execs    *atomic.Uint64 // machine executions, not store hits; shared with derived sessions
+	derived  *atomic.Uint64 // runs served from a source's PCC-free result (derive.go); shared likewise
+	pccFree  *sync.Map      // source store key → its PCC-free result (derive.go); shared likewise
+	fps      *sync.Map      // core.Config → its resultstore.ConfigFingerprint (configFingerprint); shared likewise
 }
 
 // NewSession creates a measurement session at the given workload scale.
@@ -150,16 +153,24 @@ func NewSession(scale int) *Session {
 	if scale < 1 {
 		scale = 1
 	}
-	return &Session{Scale: scale, memo: make(map[memoKey]*memoCell), execs: new(atomic.Uint64)}
+	return &Session{
+		Scale:   scale,
+		memo:    make(map[memoKey]*memoCell),
+		execs:   new(atomic.Uint64),
+		derived: new(atomic.Uint64),
+		pccFree: new(sync.Map),
+		fps:     new(sync.Map),
+	}
 }
 
 // derive returns a sub-session for an experiment that re-measures under a
 // modified configuration or supervision (ablations, the resilience sweep,
 // the attack corpus). It inherits the scale, the Configure hook and the
-// supervision settings, and shares the fleet, store, telemetry, checker and
-// execution counter, so its runs are bounded, deduplicated, persisted,
-// observed, checked and counted exactly like the parent's. Callers
-// override only what differs.
+// supervision settings, and shares the fleet, store, telemetry, checker,
+// execution and derivation counters, the table of PCC-free results and the
+// fingerprint memo, so its runs are bounded, deduplicated, persisted,
+// observed, checked, counted and derived exactly like the parent's.
+// Callers override only what differs.
 func (s *Session) derive() *Session {
 	sub := NewSession(s.Scale)
 	sub.Configure = s.Configure
@@ -176,6 +187,9 @@ func (s *Session) derive() *Session {
 	sub.obs = s.obs // built by pool() when telemetry is on
 	s.mu.Unlock()
 	sub.execs = s.execs
+	sub.derived = s.derived
+	sub.pccFree = s.pccFree
+	sub.fps = s.fps
 	return sub
 }
 
@@ -301,10 +315,17 @@ func (s *Session) SharePool(f *Fleet) {
 }
 
 // Executions returns how many machine executions the session and the
-// sub-sessions derived from it have performed. Store-served results and
-// executions joined from another session do not count, so a warm campaign
-// over a populated store reports 0.
+// sub-sessions derived from it have performed. Store-served results,
+// executions joined from another session and runs derived from a purecap
+// execution (Derived) do not count, so a warm campaign over a populated
+// store reports 0.
 func (s *Session) Executions() uint64 { return s.execs.Load() }
+
+// Derived returns how many runs the session and the sub-sessions derived
+// from it served from a purecap execution's PCC-free result instead of
+// executing them (see derive.go). A warm campaign reports 0: its purecap
+// runs come from the store, and so do the runs derived from them.
+func (s *Session) Derived() uint64 { return s.derived.Load() }
 
 // observer returns the session's telemetry observer, building it on first
 // use; nil when telemetry is disabled. Callers must hold s.mu.
@@ -485,12 +506,14 @@ func (s *Session) memoized(k memoKey, resolve func(*memoCell)) *memoCell {
 
 // Run returns the (cached) outcome of executing workload w under ABI a.
 // Concurrent calls for the same pair share one execution; calls for
-// different pairs proceed in parallel up to the worker-pool bound.
+// different pairs proceed in parallel up to the worker-pool bound. A run
+// that differs from a purecap run only by the PCC-bounds stall term is
+// derived from that run's execution instead (derive.go).
 func (s *Session) Run(w *workloads.Workload, a abi.ABI) *RunData {
 	return s.memoized(memoKey{workload: w.Name, abi: a}, func(c *memoCell) {
 		cfg := s.effectiveConfig(a)
 		key := s.runStoreKey(w, a, cfg)
-		e, _ := s.do(key, 1, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
+		e, _ := s.resolve(key, w, cfg, false, func(run *telemetry.Span, _ int) (*resultstore.Entry, error) {
 			return s.execute(key, w, a, cfg, run), nil
 		})
 		c.run = runDataFromEntry(e)
@@ -507,7 +530,6 @@ func (s *Session) execute(key resultstore.Key, w *workloads.Workload, a abi.ABI,
 	for attempt := 0; ; attempt++ {
 		att := obs.attemptStart(run, attempt)
 		e, err := s.executeOnce(key, w, a, cfg, attempt, obs, att)
-		e.Attempts = attempt + 1
 		retry := err != nil && attempt < s.Retries && core.IsTransient(err)
 		obs.attemptEnd(att, e, err, retry)
 		if !retry {
@@ -518,12 +540,13 @@ func (s *Session) execute(key resultstore.Key, w *workloads.Workload, a abi.ABI,
 
 // executeOnce performs one attempt on a fresh machine and returns its
 // entry together with the live run error. Its machine leaves per-function
-// attribution off: nothing reads a measured run's profile.
+// attribution off: nothing reads a measured run's profile. A source
+// execution (derive.go) carries its PCC-free result.
 func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.ABI, cfg core.Config, attempt int, obs *runObserver, att *telemetry.Span) (*resultstore.Entry, error) {
 	s.execs.Add(1)
 	inj, setup := s.attemptSetup(w, a, attempt, obs, att)
 	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
-	e := &resultstore.Entry{Key: key}
+	e := &resultstore.Entry{Key: key, Attempts: attempt + 1}
 	if inj != nil {
 		e.Injected = inj.Events()
 	}
@@ -532,6 +555,9 @@ func (s *Session) executeOnce(key resultstore.Key, w *workloads.Workload, a abi.
 		e.Witness = &wr
 	}
 	fillCoreResult(&e.CoreResult, m, err)
+	if s.isPCCSource(w, cfg) {
+		e.PCCFree = pccFreeResult(e, m)
+	}
 	return e, err
 }
 

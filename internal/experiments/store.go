@@ -67,10 +67,24 @@ func (s *Session) runStoreKey(w *workloads.Workload, a abi.ABI, cfg core.Config)
 		Name:       w.Name,
 		ABI:        a.String(),
 		Scale:      s.Scale,
-		Config:     resultstore.ConfigFingerprint(cfg),
+		Config:     s.configFingerprint(cfg),
 		Supervisor: s.supervisorFingerprint(),
 		Model:      resultstore.ModelFingerprint(),
 	}
+}
+
+// configFingerprint is resultstore.ConfigFingerprint memoized per session
+// family: every store key needs it, it formats the whole configuration,
+// and a campaign uses only a few distinct configurations. A warm campaign,
+// which builds a key for every result it serves and simulates nothing,
+// spent a sixth of its CPU recomputing it.
+func (s *Session) configFingerprint(cfg core.Config) string {
+	if fp, ok := s.fps.Load(cfg); ok {
+		return fp.(string)
+	}
+	fp := resultstore.ConfigFingerprint(cfg)
+	s.fps.Store(cfg, fp)
+	return fp
 }
 
 // unitKey addresses a kernel or co-run: the caller's id, which must name
@@ -159,7 +173,7 @@ func runDataFromEntry(e *resultstore.Entry) *RunData {
 // runs are returned as errors and never stored — they abort their
 // experiment, so there is no render path that needs a cached failure.
 func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)) (*RunData, error) {
-	key := s.unitKey(resultstore.KindKernel, id, resultstore.ConfigFingerprint(cfg))
+	key := s.unitKey(resultstore.KindKernel, id, s.configFingerprint(cfg))
 	e, err := s.do(key, 1, func(*telemetry.Span, int) (*resultstore.Entry, error) {
 		s.execs.Add(1)
 		m := core.NewMachine(cfg)
@@ -196,7 +210,7 @@ func (s *Session) RunKernel(id string, cfg core.Config, body func(*core.Machine)
 // geometry) is returned before anything persists.
 func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]RunData, *soc.FabricStats, error) {
 	topo = topo.WithDefaults()
-	key := s.unitKey(resultstore.KindCoRun, id, coRunConfigKey(specs)+"|"+topo.Fingerprint())
+	key := s.unitKey(resultstore.KindCoRun, id, s.coRunConfigKey(specs)+"|"+topo.Fingerprint())
 	e, err := s.do(key, len(specs), func(_ *telemetry.Span, slots int) (*resultstore.Entry, error) {
 		s.execs.Add(uint64(len(specs)))
 		s.wrapMachineSetup(specs)
@@ -218,10 +232,10 @@ func (s *Session) CoRun(id string, topo soc.Topology, specs []soc.CoreSpec) ([]R
 
 // coRunConfigKey folds every core's configuration, in order, into one
 // store-key component.
-func coRunConfigKey(specs []soc.CoreSpec) string {
+func (s *Session) coRunConfigKey(specs []soc.CoreSpec) string {
 	cfgs := make([]string, len(specs))
 	for i := range specs {
-		cfgs[i] = resultstore.ConfigFingerprint(specs[i].Config)
+		cfgs[i] = s.configFingerprint(specs[i].Config)
 	}
 	return strings.Join(cfgs, "+")
 }

@@ -242,6 +242,12 @@ type Entry struct {
 	// hotspot report (and its conservation reconcile) is byte-identical to
 	// the cold one.
 	Profile *core.AttributionProfile `json:"profile,omitempty"`
+	// PCCFree is, in memory only, the result this entry's run gives
+	// without its PCC-bounds stall term (core.Machine.PCCFreeCounters,
+	// AttributionProfile.WithoutPCC): the outcome of the same run under
+	// purecap-benchmark, or on a PCC-tracking predictor. It has no key of
+	// its own and is never persisted.
+	PCCFree *Entry `json:"-"`
 }
 
 // valid performs the structural checks a load must pass beyond the

@@ -87,6 +87,11 @@ func ByName(name string) (*Workload, error) {
 	return w, nil
 }
 
+// Catalogued reports whether w is one of the registry's own workloads, in
+// All() or Faulty(): neither an attack-corpus entry nor a workload built
+// outside the registry.
+func Catalogued(w *Workload) bool { return registry[w.Name] == w && w.Canary == nil }
+
 // Names returns the runnable workload names, sorted (the crashing
 // Appendix Table 5 entries and the attack corpus are excluded; see Faulty
 // and internal/attacks).
