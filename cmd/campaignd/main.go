@@ -6,7 +6,13 @@
 // backpressure, and rendered results — byte-identical to the equivalent
 // cmd/experiments invocation — are served from a persistent result store
 // fronted by an in-memory admission cache, so a warm resubmission performs
-// zero simulations and zero disk reads.
+// zero simulations and zero disk reads. The cache holds each entry decoded
+// and validated once, on admission, and hands every hit a private copy;
+// -cache-mb budgets the entries' encoded bytes. Campaigns that render the
+// same bytes share one immutable copy of the body, and /metrics reports
+// campaigns_retained, campaign_bodies and campaign_body_bytes. A
+// submission is one JSON object of at most 1 MiB (413 over it, 400 for
+// anything after the object).
 //
 // Usage:
 //

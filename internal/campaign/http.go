@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -12,7 +13,9 @@ import (
 
 // Handler builds the service's HTTP API:
 //
-//	POST /campaigns               submit a Spec (202; 400 invalid; 429 full)
+//	POST /campaigns               submit a Spec (202; 400 invalid or
+//	                              trailing bytes; 413 over maxSpecBytes;
+//	                              429 full)
 //	GET  /campaigns               list campaign statuses
 //	GET  /campaigns/{id}          one campaign's status JSON
 //	GET  /campaigns/{id}/result   the rendered body, byte-identical to the
@@ -46,12 +49,30 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a submission body. A full spec — every experiment,
+// attack, topology and core count spelled out — is a few KiB.
+const maxSpecBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	var tooLarge *http.MaxBytesError
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("campaign: bad submission: %w", err))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The body is exactly one JSON object: only whitespace may follow.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("campaign: bad submission: %w", err))
 		return
 	}
 	c, err := s.Submit(spec)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -73,6 +74,14 @@ type Service struct {
 	cur       int            // ring position the next dispatch scan starts at
 	campaigns map[string]*Campaign
 	order     []string // campaign IDs in submission order
+	// bodies holds one immutable, exact-length copy of each distinct
+	// rendered body, keyed by its SHA-256; every campaign that rendered
+	// those bytes points at it (warm resubmissions of one spec render the
+	// same bytes).
+	bodies map[[sha256.Size]byte][]byte
+
+	// Retention gauges (nil, and inert, without a hub).
+	retained, bodyCount, bodySize *telemetry.Gauge
 
 	wake chan struct{} // nudges an idle runner after a submission
 	stop chan struct{}
@@ -93,11 +102,19 @@ func New(cfg Config) *Service {
 	if cfg.MaxScale <= 0 {
 		cfg.MaxScale = DefaultMaxScale
 	}
+	var m *telemetry.Registry
+	if cfg.Hub != nil {
+		m = cfg.Hub.Metrics
+	}
 	return &Service{
 		cfg:       cfg,
 		fleet:     experiments.NewFleet(cfg.Workers),
 		tenants:   map[string]*tenantQueue{},
 		campaigns: map[string]*Campaign{},
+		bodies:    map[[sha256.Size]byte][]byte{},
+		retained:  m.Gauge("campaigns_retained"),
+		bodyCount: m.Gauge("campaign_bodies"),
+		bodySize:  m.Gauge("campaign_body_bytes"),
 		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -161,6 +178,7 @@ func (s *Service) Submit(spec Spec) (*Campaign, error) {
 	t.pending = append(t.pending, c)
 	s.campaigns[c.ID] = c
 	s.order = append(s.order, c.ID)
+	s.retained.Set(int64(len(s.campaigns)))
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -264,7 +282,7 @@ func (s *Service) run(c *Campaign) {
 	sess.FinishTelemetry()
 
 	after := s.cfg.Store.Stats()
-	c.body = body.Bytes()
+	c.body = s.shareBody(body.Bytes())
 	c.failed = failed
 	c.sims = sess.Executions()
 	c.derived = sess.Derived()
@@ -284,4 +302,26 @@ func (s *Service) run(c *Campaign) {
 		ev.Err = fmt.Sprintf("%d of %d experiments failed", len(failed), len(c.exps))
 	}
 	c.event(ev)
+}
+
+// shareBody returns the service's one shared copy of body, first storing
+// an exact-length copy (no buffer slack) when no campaign has rendered
+// these bytes before. Shared bodies are never written: a campaign's body
+// is final once done closes, and handleResult only reads it.
+func (s *Service) shareBody(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.bodies[sum]; ok {
+		if bytes.Equal(b, body) {
+			return b
+		}
+		return body // a SHA-256 collision keeps its own bytes
+	}
+	b := make([]byte, len(body))
+	copy(b, body)
+	s.bodies[sum] = b
+	s.bodyCount.Set(int64(len(s.bodies)))
+	s.bodySize.Add(int64(len(b)))
+	return b
 }

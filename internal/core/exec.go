@@ -136,7 +136,7 @@ func (m *Machine) accountLoadStallCap(lvl hierLevel, lat uint64, dep Dependency,
 		if capLoad {
 			exposure *= 1.0
 		} else {
-			exposure *= 0.9
+			exposure = float64(exposure * 0.9)
 		}
 	} else {
 		exposure /= m.Cfg.MLP
@@ -144,7 +144,7 @@ func (m *Machine) accountLoadStallCap(lvl hierLevel, lat uint64, dep Dependency,
 	switch lvl {
 	case levelL1:
 		// L1 hits are pipelined; only a sliver of exposure remains.
-		m.beMemL1 += exposure * 0.15
+		m.beMemL1 += float64(exposure * 0.15)
 	case levelL2:
 		m.beMemL2 += exposure
 	default:
@@ -163,7 +163,7 @@ func (m *Machine) translateD(addr uint64) {
 		return
 	}
 	if lat := m.DTLB.Translate(addr); lat > 0 {
-		m.beMemExt += float64(lat) * 0.8
+		m.beMemExt += float64(float64(lat) * 0.8)
 	}
 }
 
@@ -210,7 +210,7 @@ func (m *Machine) fetchAdvance(nUops uint64) {
 				_, lat := m.l2Path(line, false)
 				// Fetch misses stall the frontend; decoupling hides a
 				// fraction.
-				m.feStall += float64(lat) * 0.7
+				m.feStall += float64(float64(lat) * 0.7)
 			}
 		}
 		n--
@@ -237,7 +237,7 @@ func (m *Machine) uop(c isa.Class, n uint64) {
 		return
 	}
 	m.classUops += n
-	m.auxUops += float64(n) * m.Cfg.AuxInstrFrac
+	m.auxUops += float64(float64(n) * m.Cfg.AuxInstrFrac)
 	switch c {
 	case isa.LoadInt, isa.LoadCap:
 		m.C.Add(pmu.LD_SPEC, n)
@@ -345,7 +345,7 @@ func (m *Machine) Store(p Ptr, val, size uint64) {
 	m.Tracer.Record(trace.KindStore, addr, uint32(size), uint8(lvl))
 	if lvl != levelL1 {
 		// Write-allocate fill time is mostly hidden by the store buffer.
-		m.beMemExt += float64(lat) * 0.15
+		m.beMemExt += float64(float64(lat) * 0.15)
 	}
 	if size > 8 {
 		size = 8
@@ -511,38 +511,38 @@ func (m *Machine) CapCodegen(n uint64) {
 		return
 	}
 	m.uop(isa.DP, n)
-	m.beCore += float64(n) * 0.05
+	m.beCore += float64(float64(n) * 0.05)
 }
 
 // ALU executes n integer data-processing µops.
 func (m *Machine) ALU(n uint64) {
 	m.uop(isa.DP, n)
-	m.beCore += float64(n) * 0.05
+	m.beCore += float64(float64(n) * 0.05)
 }
 
 // CapManip executes n capability-manipulation µops (bounds setting, value
 // derivation); they occupy the integer pipes and count as DP_SPEC.
 func (m *Machine) CapManip(n uint64) {
 	m.uop(isa.DP, n)
-	m.beCore += float64(n) * 0.08
+	m.beCore += float64(float64(n) * 0.08)
 }
 
 // FP executes n floating-point µops.
 func (m *Machine) FP(n uint64) {
 	m.uop(isa.VFP, n)
-	m.beCore += float64(n) * 0.18
+	m.beCore += float64(float64(n) * 0.18)
 }
 
 // SIMD executes n advanced-SIMD µops.
 func (m *Machine) SIMD(n uint64) {
 	m.uop(isa.ASE, n)
-	m.beCore += float64(n) * 0.12
+	m.beCore += float64(float64(n) * 0.12)
 }
 
 // Crypto executes n cryptographic-extension µops.
 func (m *Machine) Crypto(n uint64) {
 	m.uop(isa.Crypto, n)
-	m.beCore += float64(n) * 0.12
+	m.beCore += float64(float64(n) * 0.12)
 }
 
 // Branch executes a conditional direct branch with the given outcome. The

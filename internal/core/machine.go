@@ -156,7 +156,10 @@ type Machine struct {
 	stack    []frame
 	sp       uint64
 
-	// Stall accumulators (cycles, fractional).
+	// Stall accumulators (cycles, fractional). Every product added to one
+	// is wrapped in float64(...): that forbids fusing x*y + acc into one
+	// multiply-add (Go spec, Floating-point operators), which rounds once
+	// and would give arm64 hosts other cycle counts than amd64 ones.
 	feStall   float64
 	beMemL1   float64
 	beMemL2   float64

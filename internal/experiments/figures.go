@@ -161,7 +161,9 @@ func runFig5(s *Session) (string, error) {
 				return "", fmt.Errorf("%s/%s: %w", w.Name, a, d.Err)
 			}
 			tot := float64(d.Counters.Sum(classes...))
-			share := func(e pmu.Event) float64 { return float64(d.Counters.Get(e)) / tot * 100 }
+			// float64(...) keeps share(a)+share(b) from fusing into a
+			// multiply-add on arm64, so every host prints the same digits.
+			share := func(e pmu.Event) float64 { return float64(float64(d.Counters.Get(e)) / tot * 100) }
 			br := share(pmu.BR_IMMED_SPEC) + share(pmu.BR_INDIRECT_SPEC) + share(pmu.BR_RETURN_SPEC)
 			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
 				w.Name, a, share(pmu.LD_SPEC), share(pmu.ST_SPEC), share(pmu.DP_SPEC),

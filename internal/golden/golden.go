@@ -34,7 +34,9 @@ func (t Tolerance) Allows(want, got float64) bool {
 	if math.IsNaN(want) || math.IsNaN(got) {
 		return math.IsNaN(want) && math.IsNaN(got)
 	}
-	return math.Abs(got-want) <= t.Abs+t.Rel*math.Abs(want)
+	// float64(...) forbids a fused multiply-add, so the bound is the same
+	// on every host.
+	return math.Abs(got-want) <= t.Abs+float64(t.Rel*math.Abs(want))
 }
 
 // Baseline is the committed golden file: per-pair metric vectors plus the

@@ -28,6 +28,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -250,6 +251,50 @@ type Entry struct {
 	PCCFree *Entry `json:"-"`
 }
 
+// clone returns a deep copy of a decoded entry: every slice and pointer is
+// copied (slices.Clone keeps nil slices nil, so the copy is
+// reflect.DeepEqual to e), and nothing the copy reaches is shared with e.
+// Decoded entries carry no PCCFree, so there is none to copy.
+func (e *Entry) clone() *Entry {
+	c := *e
+	c.CoreResult = e.CoreResult.clone()
+	c.Injected = slices.Clone(e.Injected)
+	if e.Cores != nil {
+		c.Cores = make([]CoreResult, len(e.Cores))
+		for i := range e.Cores {
+			c.Cores[i] = e.Cores[i].clone()
+		}
+	}
+	if e.Fabric != nil {
+		f := *e.Fabric
+		f.Slices = slices.Clone(f.Slices)
+		f.Links = slices.Clone(f.Links)
+		f.Cores = slices.Clone(f.Cores)
+		c.Fabric = &f
+	}
+	if e.Witness != nil {
+		w := *e.Witness
+		c.Witness = &w
+	}
+	if e.Profile != nil {
+		p := *e.Profile
+		p.Functions = slices.Clone(p.Functions)
+		c.Profile = &p
+	}
+	return &c
+}
+
+// clone returns a deep copy of r.
+func (r CoreResult) clone() CoreResult {
+	r.Counters = slices.Clone(r.Counters)
+	r.Revocations = slices.Clone(r.Revocations)
+	if r.Error != nil {
+		se := *r.Error
+		r.Error = &se
+	}
+	return r
+}
+
 // valid performs the structural checks a load must pass beyond the
 // checksum: the entry answers for the requested key and its counter files
 // match the current PMU event set.
@@ -355,17 +400,17 @@ func (s *Store) Path(k Key) string {
 // rewrite replaces the bad file. Read failures other than absence
 // (permissions, IO) additionally count on Stats.Errors — a mis-permissioned
 // store must not look like a merely cold one. With the admission cache
-// enabled, hot keys are served from memory without touching the file.
+// enabled, hot keys are served from memory without touching the file: a
+// disk load admits the entry it decoded, and every memory hit returns a
+// private deep copy of it, equal to what a disk read would decode. The
+// caller owns the returned entry either way.
 func (s *Store) Load(k Key) (*Entry, bool) {
 	if s == nil {
 		return nil, false
 	}
-	if raw, ok := s.cache.get(k); ok {
-		if e, ok := decode(raw, k); ok {
-			s.memHits.Add(1)
-			return e, true
-		}
-		s.cache.drop(k) // unreachable unless the cache was fed bad bytes
+	if e, ok := s.cache.get(k); ok {
+		s.memHits.Add(1)
+		return e, true
 	}
 	raw, err := os.ReadFile(s.Path(k))
 	if err != nil {
@@ -381,7 +426,10 @@ func (s *Store) Load(k Key) (*Entry, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	s.cache.put(k, raw)
+	if s.cache != nil {
+		s.cache.put(k, e, int64(len(raw)))
+		e = e.clone()
+	}
 	s.hits.Add(1)
 	return e, true
 }
@@ -458,7 +506,13 @@ func (s *Store) save(e *Entry) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: commit %s: %w", e.Key.Name, err)
 	}
-	s.cache.put(e.Key, data)
+	if s.cache != nil {
+		// Admit what a disk read of these bytes would return, not e itself:
+		// the caller keeps e, and in-memory state (PCCFree) stays out.
+		if d, ok := decode(data, e.Key); ok {
+			s.cache.put(e.Key, d, int64(len(data)))
+		}
+	}
 	s.writes.Add(1)
 	return nil
 }

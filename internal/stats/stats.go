@@ -60,9 +60,11 @@ func Pearson(x, y []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		// float64(...) rounds each product before the add, so no host
+		// fuses them into a multiply-add (Go spec, Floating-point operators).
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
