@@ -8,11 +8,15 @@
 // fronted by an in-memory admission cache, so a warm resubmission performs
 // zero simulations and zero disk reads. The cache holds each entry decoded
 // and validated once, on admission, and hands every hit a private copy;
-// -cache-mb budgets the entries' encoded bytes. Campaigns that render the
-// same bytes share one immutable copy of the body, and /metrics reports
-// campaigns_retained, campaign_bodies and campaign_body_bytes. A
-// submission is one JSON object of at most 1 MiB (413 over it, 400 for
-// anything after the object).
+// -cache-mb budgets the entries' encoded bytes. A campaign's body is the
+// ordered list of its experiments' sections, and campaigns share one
+// immutable copy of each distinct section; a finished campaign packs its
+// event history. The daemon retains the 65,536 most recently finished
+// campaigns and answers 410 Gone for an evicted one. /metrics reports
+// campaigns_retained, campaign_sections, campaign_section_bytes,
+// campaign_rejected (429s) and the campaign_queue_wait_ms and
+// campaign_run_ms histograms. A submission is one JSON object of at most
+// 1 MiB (413 over it, 400 for anything after the object).
 //
 // Usage:
 //

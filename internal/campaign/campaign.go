@@ -10,8 +10,10 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -133,31 +135,59 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 }
 
+// eventKinds lists every Event.Kind; a packed event names its kind by
+// index.
+var eventKinds = [...]string{"queued", "started", "experiment", "done"}
+
+// packedEvent is one event of a finished campaign's history. Its Seq is
+// its position plus one, At is held as UnixNano (Events carry UTC
+// wall-clock times, which round-trip exactly), Kind and Experiment are
+// indices into eventKinds and the campaign's exps, and Err lives in the
+// campaign's packedErrs.
+type packedEvent struct {
+	at   int64
+	kind uint8
+	exp  uint16
+}
+
+// packedErr is the error text of one finished campaign's event.
+type packedErr struct {
+	seq int
+	err string
+}
+
 // Campaign is one submitted campaign and its live state. All fields behind
-// mu; the result body is immutable once done is closed.
+// mu; the result body is immutable once done is closed. Once done, the
+// record keeps only what its endpoints read: Spec keeps Tenant and Scale
+// (the selection lives on in Status().Experiments), and the event history
+// is packed.
 type Campaign struct {
 	ID   string
 	Spec Spec
 
+	seq  int // the submission number ID spells
 	exps []*experiments.Experiment
 
-	mu     sync.Mutex
-	state  State
-	events []Event
-	wake   chan struct{} // closed and replaced on every event append
+	mu         sync.Mutex
+	state      State
+	events     []Event       // the live history; nil once packed
+	packed     []packedEvent // the finished history, exact length
+	packedErrs []packedErr   // error texts of the packed history, if any
+	wake       chan struct{} // closed and replaced on every live event append
 
 	done    chan struct{} // closed on completion; fields below final after
-	body    []byte
+	body    [][]byte      // the rendered sections, shared (Service.share)
 	failed  []experiments.RenderError
 	sims    uint64
 	derived uint64
 	store   resultstore.Stats // store-traffic delta over the campaign's run
 }
 
-func newCampaign(id string, spec Spec, exps []*experiments.Experiment) *Campaign {
+func newCampaign(seq int, spec Spec, exps []*experiments.Experiment) *Campaign {
 	c := &Campaign{
-		ID:    id,
+		ID:    "c" + strconv.Itoa(seq),
 		Spec:  spec,
+		seq:   seq,
 		exps:  exps,
 		state: StateQueued,
 		wake:  make(chan struct{}),
@@ -167,10 +197,17 @@ func newCampaign(id string, spec Spec, exps []*experiments.Experiment) *Campaign
 	return c
 }
 
-// event appends one progress record and wakes every feed watcher.
-func (c *Campaign) event(ev Event) {
+// event appends one progress record, wakes every feed watcher, and
+// returns the record's time.
+func (c *Campaign) event(ev Event) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.appendEvent(ev)
+	return c.events[len(c.events)-1].At
+}
+
+// appendEvent is event with c.mu held.
+func (c *Campaign) appendEvent(ev Event) {
 	ev.Seq = len(c.events) + 1
 	ev.At = time.Now().UTC()
 	c.events = append(c.events, ev)
@@ -178,12 +215,67 @@ func (c *Campaign) event(ev Event) {
 	c.wake = make(chan struct{})
 }
 
+// submitted returns the time of the campaign's queued event. Only a live
+// campaign asks.
+func (c *Campaign) submitted() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.events[0].At
+}
+
+// finish appends the done event, then packs the history and drops the
+// state only a live campaign reads. It returns the done event's time.
+// Feed watchers wake on the done event and find it in the packed history.
+func (c *Campaign) finish(done Event) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.appendEvent(done)
+	c.packed = make([]packedEvent, len(c.events))
+	for i, ev := range c.events {
+		p := packedEvent{at: ev.At.UnixNano(), kind: uint8(slices.Index(eventKinds[:], ev.Kind))}
+		if ev.Kind == "experiment" {
+			p.exp = uint16(slices.IndexFunc(c.exps, func(e *experiments.Experiment) bool { return e.ID == ev.Experiment }))
+		}
+		if ev.Err != "" {
+			c.packedErrs = append(c.packedErrs, packedErr{seq: ev.Seq, err: ev.Err})
+		}
+		c.packed[i] = p
+	}
+	at := c.events[len(c.events)-1].At
+	c.events, c.wake = nil, nil
+	c.Spec.Experiments, c.Spec.Attacks, c.Spec.Topologies, c.Spec.Cores = nil, nil, nil, nil
+	return at
+}
+
+// unpack rebuilds the i-th event of a finished campaign's history.
+func (c *Campaign) unpack(i int) Event {
+	p := c.packed[i]
+	ev := Event{Seq: i + 1, At: time.Unix(0, p.at).UTC(), Kind: eventKinds[p.kind]}
+	if ev.Kind == "experiment" {
+		ev.Experiment = c.exps[p.exp].ID
+	}
+	for _, e := range c.packedErrs {
+		if e.seq == ev.Seq {
+			ev.Err = e.err
+		}
+	}
+	return ev
+}
+
 // eventsSince returns the events after seq plus a channel that closes when
-// more arrive — the feed endpoint's poll primitive.
+// more arrive — the feed endpoint's poll primitive. A finished campaign's
+// history is complete, and its channel is the closed done channel.
 func (c *Campaign) eventsSince(seq int) ([]Event, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.events[seq:], c.wake
+	if c.packed == nil {
+		return c.events[seq:], c.wake
+	}
+	evs := make([]Event, 0, len(c.packed)-seq)
+	for i := seq; i < len(c.packed); i++ {
+		evs = append(evs, c.unpack(i))
+	}
+	return evs, c.done
 }
 
 // State returns the campaign's current lifecycle phase.
@@ -202,14 +294,25 @@ func (c *Campaign) setState(st State) {
 // Done exposes the completion signal.
 func (c *Campaign) Done() <-chan struct{} { return c.done }
 
-// Result returns the rendered campaign body; false until done.
-func (c *Campaign) Result() ([]byte, bool) {
+// sections returns the rendered body as its ordered shared sections; false
+// until done.
+func (c *Campaign) sections() ([][]byte, bool) {
 	select {
 	case <-c.done:
 		return c.body, true
 	default:
 		return nil, false
 	}
+}
+
+// Result returns the rendered campaign body, assembled from its sections;
+// false until done.
+func (c *Campaign) Result() ([]byte, bool) {
+	secs, ok := c.sections()
+	if !ok {
+		return nil, false
+	}
+	return bytes.Join(secs, nil), true
 }
 
 // Status is the JSON shape of GET /campaigns/{id}.
@@ -244,7 +347,7 @@ func (c *Campaign) Status() Status {
 		Tenant: c.Spec.Tenant,
 		State:  c.state,
 		Scale:  c.Spec.Scale,
-		Events: len(c.events),
+		Events: len(c.events) + len(c.packed),
 	}
 	c.mu.Unlock()
 	for _, e := range c.exps {

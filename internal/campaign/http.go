@@ -16,12 +16,15 @@ import (
 //	POST /campaigns               submit a Spec (202; 400 invalid or
 //	                              trailing bytes; 413 over maxSpecBytes;
 //	                              429 full)
-//	GET  /campaigns               list campaign statuses
+//	GET  /campaigns               list retained campaigns' statuses
 //	GET  /campaigns/{id}          one campaign's status JSON
 //	GET  /campaigns/{id}/result   the rendered body, byte-identical to the
 //	                              equivalent cmd/experiments invocation
 //	GET  /campaigns/{id}/events   SSE progress feed (?spans=1 interleaves
 //	                              the fleet-wide telemetry span feed)
+//
+// The three {id} routes answer 410 Gone for a campaign evicted past the
+// retention bound (maxRetained) and 404 for an ID never issued.
 //
 // Every other path falls through to the hub's ops endpoints (/metrics,
 // /spans, /profiles, /healthz, /debug/pprof), so one listener serves both
@@ -100,10 +103,16 @@ func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, statuses)
 }
 
+// campaignOf resolves the request's campaign, answering 410 Gone for an
+// evicted one and 404 for an ID never issued.
 func (s *Service) campaignOf(w http.ResponseWriter, r *http.Request) (*Campaign, bool) {
 	id := r.PathValue("id")
 	c, ok := s.Get(id)
-	if !ok {
+	switch {
+	case ok:
+	case s.evicted(id):
+		writeErr(w, http.StatusGone, fmt.Errorf("campaign: %s was evicted (the service retains the %d most recently finished campaigns)", id, s.retain))
+	default:
 		writeErr(w, http.StatusNotFound, fmt.Errorf("campaign: unknown campaign %q", id))
 	}
 	return c, ok
@@ -120,15 +129,23 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, done := c.Result()
+	secs, done := c.sections()
 	if !done {
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusConflict, fmt.Errorf("campaign: %s is %s, not done", c.ID, c.State()))
 		return
 	}
+	n := 0
+	for _, sec := range secs {
+		n += len(sec)
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	for _, sec := range secs {
+		if _, err := w.Write(sec); err != nil {
+			return
+		}
+	}
 }
 
 // handleEvents streams the campaign's progress feed as server-sent events:

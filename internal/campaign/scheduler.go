@@ -2,10 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"time"
 
 	"cherisim/internal/experiments"
 	"cherisim/internal/resultstore"
@@ -61,6 +66,13 @@ type tenantQueue struct {
 	pending []*Campaign
 }
 
+// maxRetained bounds how many finished campaigns a service holds. Past
+// it, the campaign that finished first is evicted: its ID answers 410
+// Gone, and its sections are freed once no retained campaign holds them.
+// Queued and running campaigns are never evicted. One benchmark window
+// serves about 8,000 campaigns, far below the bound.
+const maxRetained = 1 << 16
+
 // Service schedules submitted campaigns across one shared worker fleet.
 type Service struct {
 	cfg   Config
@@ -73,19 +85,29 @@ type Service struct {
 	ring      []*tenantQueue // round-robin order = first-submission order
 	cur       int            // ring position the next dispatch scan starts at
 	campaigns map[string]*Campaign
-	order     []string // campaign IDs in submission order
-	// bodies holds one immutable, exact-length copy of each distinct
-	// rendered body, keyed by its SHA-256; every campaign that rendered
-	// those bytes points at it (warm resubmissions of one spec render the
-	// same bytes).
-	bodies map[[sha256.Size]byte][]byte
+	finished  []*Campaign // retained finished campaigns, in finishing order
+	retain    int         // finished campaigns held (maxRetained)
+	// sections holds one immutable, exact-length copy of each distinct
+	// rendered section, keyed by its SHA-256; every retained campaign
+	// whose body holds those bytes points at it.
+	sections map[[sha256.Size]byte]sharedSection
 
-	// Retention gauges (nil, and inert, without a hub).
-	retained, bodyCount, bodySize *telemetry.Gauge
+	// Retention gauges and campaign metrics (nil, and inert, without a
+	// hub).
+	retained, sectionCount, sectionBytes *telemetry.Gauge
+	rejected                             *telemetry.Counter
+	queueWait, runTime                   *telemetry.Histogram
 
 	wake chan struct{} // nudges an idle runner after a submission
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// sharedSection is one distinct rendered section and the number of
+// retained campaign bodies that hold it.
+type sharedSection struct {
+	b    []byte
+	refs int
 }
 
 // New builds a service; Start launches its runners.
@@ -107,16 +129,20 @@ func New(cfg Config) *Service {
 		m = cfg.Hub.Metrics
 	}
 	return &Service{
-		cfg:       cfg,
-		fleet:     experiments.NewFleet(cfg.Workers),
-		tenants:   map[string]*tenantQueue{},
-		campaigns: map[string]*Campaign{},
-		bodies:    map[[sha256.Size]byte][]byte{},
-		retained:  m.Gauge("campaigns_retained"),
-		bodyCount: m.Gauge("campaign_bodies"),
-		bodySize:  m.Gauge("campaign_body_bytes"),
-		wake:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+		cfg:          cfg,
+		fleet:        experiments.NewFleet(cfg.Workers),
+		tenants:      map[string]*tenantQueue{},
+		campaigns:    map[string]*Campaign{},
+		retain:       maxRetained,
+		sections:     map[[sha256.Size]byte]sharedSection{},
+		retained:     m.Gauge("campaigns_retained"),
+		sectionCount: m.Gauge("campaign_sections"),
+		sectionBytes: m.Gauge("campaign_section_bytes"),
+		rejected:     m.Counter("campaign_rejected"),
+		queueWait:    m.Histogram("campaign_queue_wait_ms", telemetry.ExpBuckets(0.25, 2, 18)),
+		runTime:      m.Histogram("campaign_run_ms", telemetry.ExpBuckets(0.25, 2, 18)),
+		wake:         make(chan struct{}, 1),
+		stop:         make(chan struct{}),
 	}
 }
 
@@ -167,6 +193,7 @@ func (s *Service) Submit(spec Spec) (*Campaign, error) {
 		s.ring = append(s.ring, t)
 	}
 	if len(t.pending) >= s.cfg.QueueDepth {
+		s.rejected.Inc()
 		return nil, &ErrQueueFull{
 			Tenant:  spec.Tenant,
 			Pending: len(t.pending),
@@ -174,10 +201,10 @@ func (s *Service) Submit(spec Spec) (*Campaign, error) {
 		}
 	}
 	s.seq++
-	c := newCampaign(fmt.Sprintf("c%d", s.seq), spec, exps)
+	spec.Tenant = t.name // one copy of the name per tenant, not per campaign
+	c := newCampaign(s.seq, spec, exps)
 	t.pending = append(t.pending, c)
 	s.campaigns[c.ID] = c
-	s.order = append(s.order, c.ID)
 	s.retained.Set(int64(len(s.campaigns)))
 	select {
 	case s.wake <- struct{}{}:
@@ -186,7 +213,7 @@ func (s *Service) Submit(spec Spec) (*Campaign, error) {
 	return c, nil
 }
 
-// Get returns a campaign by ID.
+// Get returns a retained campaign by ID.
 func (s *Service) Get(id string) (*Campaign, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,14 +221,25 @@ func (s *Service) Get(id string) (*Campaign, bool) {
 	return c, ok
 }
 
-// List returns every campaign in submission order.
-func (s *Service) List() []*Campaign {
+// evicted reports whether id names a campaign this service issued and has
+// since evicted (maxRetained).
+func (s *Service) evicted(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "c"))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Campaign, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.campaigns[id])
+	_, held := s.campaigns[id]
+	return err == nil && !held && n >= 1 && n <= s.seq && id == "c"+strconv.Itoa(n)
+}
+
+// List returns every retained campaign in submission order.
+func (s *Service) List() []*Campaign {
+	s.mu.Lock()
+	out := make([]*Campaign, 0, len(s.campaigns))
+	for _, c := range s.campaigns {
+		out = append(out, c)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Campaign) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -260,7 +298,8 @@ func (s *Service) runner() {
 // store delta mean what they say.
 func (s *Service) run(c *Campaign) {
 	c.setState(StateRunning)
-	c.event(Event{Kind: "started"})
+	started := c.event(Event{Kind: "started"})
+	s.queueWait.Observe(ms(started.Sub(c.submitted())))
 	before := s.cfg.Store.Stats()
 
 	sess := experiments.NewSession(c.Spec.Scale)
@@ -271,18 +310,20 @@ func (s *Service) run(c *Campaign) {
 	sess.CoreCounts = c.Spec.Cores
 	sess.SharePool(s.fleet)
 
-	var body bytes.Buffer
-	failed := experiments.RenderSelected(sess, &body, c.exps, func(e *experiments.Experiment, err error) {
+	body := make([][]byte, 0, len(c.exps))
+	failed := experiments.RenderSections(sess, c.exps, func(e *experiments.Experiment, section []byte, err error) {
 		ev := Event{Kind: "experiment", Experiment: e.ID}
 		if err != nil {
 			ev.Err = err.Error()
+		} else {
+			body = append(body, s.share(section))
 		}
 		c.event(ev)
 	})
 	sess.FinishTelemetry()
 
 	after := s.cfg.Store.Stats()
-	c.body = s.shareBody(body.Bytes())
+	c.body = body
 	c.failed = failed
 	c.sims = sess.Executions()
 	c.derived = sess.Derived()
@@ -296,32 +337,80 @@ func (s *Service) run(c *Campaign) {
 		WriteErrors: after.WriteErrors - before.WriteErrors,
 	}
 	c.setState(StateDone)
+	s.retire(c)
 	close(c.done)
 	ev := Event{Kind: "done"}
 	if len(failed) > 0 {
 		ev.Err = fmt.Sprintf("%d of %d experiments failed", len(failed), len(c.exps))
 	}
-	c.event(ev)
+	s.runTime.Observe(ms(c.finish(ev).Sub(started)))
 }
 
-// shareBody returns the service's one shared copy of body, first storing
-// an exact-length copy (no buffer slack) when no campaign has rendered
-// these bytes before. Shared bodies are never written: a campaign's body
-// is final once done closes, and handleResult only reads it.
-func (s *Service) shareBody(body []byte) []byte {
-	sum := sha256.Sum256(body)
+// ms converts d to the campaign histograms' unit.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// share returns the service's one copy of a rendered section. When no
+// retained campaign holds these bytes it adopts section itself, which
+// RenderSections allocates at exactly its length. Shared sections are
+// never written: a campaign's body is final once done closes, and
+// handleResult only reads it.
+func (s *Service) share(section []byte) []byte {
+	sum := sha256.Sum256(section)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.bodies[sum]; ok {
-		if bytes.Equal(b, body) {
-			return b
-		}
-		return body // a SHA-256 collision keeps its own bytes
+	sh, ok := s.sections[sum]
+	switch {
+	case ok && !bytes.Equal(sh.b, section):
+		return section // a SHA-256 collision keeps its own bytes
+	case !ok:
+		sh.b = section
+		s.sectionCount.Set(int64(len(s.sections) + 1))
+		s.sectionBytes.Add(int64(len(section)))
 	}
-	b := make([]byte, len(body))
-	copy(b, body)
-	s.bodies[sum] = b
-	s.bodyCount.Set(int64(len(s.bodies)))
-	s.bodySize.Add(int64(len(b)))
-	return b
+	sh.refs++
+	s.sections[sum] = sh
+	return sh.b
+}
+
+// retire adds a finished campaign to the retained set and evicts the
+// campaigns that finished first beyond the retention bound. It runs before
+// the campaign's done channel closes, so a caller woken by Done sees the
+// evictions its campaign caused.
+func (s *Service) retire(c *Campaign) {
+	var evicted []*Campaign
+	s.mu.Lock()
+	s.finished = append(s.finished, c)
+	for len(s.finished) > s.retain {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.campaigns, old.ID)
+		evicted = append(evicted, old)
+	}
+	s.retained.Set(int64(len(s.campaigns)))
+	s.mu.Unlock()
+	for _, old := range evicted {
+		for _, section := range old.body {
+			s.release(section)
+		}
+	}
+}
+
+// release drops one evicted body's hold on a shared section, freeing it
+// when no retained campaign holds it.
+func (s *Service) release(section []byte) {
+	sum := sha256.Sum256(section)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sh, ok := s.sections[sum]
+	if !ok || &sh.b[0] != &section[0] {
+		return // a collision's private copy
+	}
+	if sh.refs--; sh.refs > 0 {
+		s.sections[sum] = sh
+		return
+	}
+	delete(s.sections, sum)
+	s.sectionCount.Set(int64(len(s.sections)))
+	s.sectionBytes.Add(-int64(len(section)))
 }

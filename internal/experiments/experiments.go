@@ -101,13 +101,29 @@ func RenderAll(s *Session, out io.Writer) []RenderError {
 }
 
 // RenderSelected is RenderAll over an explicit experiment list (Select):
-// the selection's measurement grid is prefetched across the worker pool,
-// each experiment that renders is written to out in the given order with
-// the same framing bytes RenderAll emits, and failures are collected, not
+// each experiment that renders is written to out in the given order, as
+// its framed section (RenderSections), and failures are collected, not
 // fatal. onExperiment, when non-nil, is called after each experiment
-// finishes (rendered or failed) — the campaign service's per-experiment
-// progress feed.
+// finishes (rendered or failed), before its section is written.
 func RenderSelected(s *Session, out io.Writer, exps []*Experiment, onExperiment func(*Experiment, error)) []RenderError {
+	return RenderSections(s, exps, func(e *Experiment, section []byte, err error) {
+		if onExperiment != nil {
+			onExperiment(e, err)
+		}
+		if err == nil {
+			out.Write(section) // a failing writer is its owner's to report, as with RenderAll's stdout
+		}
+	})
+}
+
+// RenderSections is the one campaign renderer. It prefetches the
+// selection's measurement grid across the worker pool, runs the
+// experiments in the given order in degraded mode, and calls yield after
+// each one finishes with its framed section — "== id: title (section) ==",
+// a newline, the report and a newline; nil when it failed — and its error.
+// A section is a fresh slice with len == cap, and yield may keep it. The
+// failures are returned as well.
+func RenderSections(s *Session, exps []*Experiment, yield func(e *Experiment, section []byte, err error)) []RenderError {
 	s.Prefetch(UnionPairs(exps))
 	obs := s.campaignObserver()
 	var failed []RenderError
@@ -115,16 +131,23 @@ func RenderSelected(s *Session, out io.Writer, exps []*Experiment, onExperiment 
 		sp := obs.experimentSpan(e)
 		txt, err := e.Run(s)
 		obs.experimentEnd(sp, e, err)
-		if onExperiment != nil {
-			onExperiment(e, err)
-		}
+		var section []byte
 		if err != nil {
 			failed = append(failed, RenderError{ID: e.ID, Err: err})
-			continue
+		} else {
+			section = frame(e, txt)
 		}
-		fmt.Fprintf(out, "== %s: %s (%s) ==\n%s\n", e.ID, e.Title, e.Section, txt)
+		yield(e, section, err)
 	}
 	return failed
+}
+
+// frame builds e's section around its report txt, allocated at exactly its
+// length.
+func frame(e *Experiment, txt string) []byte {
+	head := "== " + e.ID + ": " + e.Title + " (" + e.Section + ") ==\n"
+	b := make([]byte, 0, len(head)+len(txt)+1)
+	return append(append(append(b, head...), txt...), '\n')
 }
 
 var registry = map[string]*Experiment{}

@@ -85,18 +85,21 @@ type Session struct {
 	// Chaos, when non-nil, attaches a deterministic fault injector to
 	// every run. Each (workload, ABI, attempt) cell derives its own seed
 	// from Chaos.Seed, so campaign results are order-independent and
-	// reproducible. See internal/faultinject.
+	// reproducible. See internal/faultinject. Set it before the first
+	// Run/Prefetch call: it is part of every run's store key.
 	Chaos *faultinject.Config
 	// ChaosSeed is the campaign seed the resilience experiment sweeps
 	// with; it applies even when Chaos is nil (0 means 1).
 	ChaosSeed uint64
 	// DeadlineUops, when > 0, bounds every run's executed µops: the
 	// watchdog aborts a run crossing the budget with a *core.DeadlineError
-	// instead of letting a runaway workload stall the campaign.
+	// instead of letting a runaway workload stall the campaign. Set it
+	// before the first Run/Prefetch call.
 	DeadlineUops uint64
 	// Retries bounds the deterministic re-execution of runs that failed
 	// with a transient injected fault (core.IsTransient). Fatal capability
-	// violations, deadlines and panics are never retried.
+	// violations, deadlines and panics are never retried. Set it before
+	// the first Run/Prefetch call.
 	Retries int
 
 	// Attacks, when non-empty, restricts the security experiment to the
@@ -146,6 +149,9 @@ type Session struct {
 	derived  *atomic.Uint64 // runs served from a source's PCC-free result (derive.go); shared likewise
 	pccFree  *sync.Map      // source store key → its PCC-free result (derive.go); shared likewise
 	fps      *sync.Map      // core.Config → its resultstore.ConfigFingerprint (configFingerprint); shared likewise
+
+	supervisorOnce sync.Once
+	supervisorFP   string // supervisorFingerprint, computed on first use
 }
 
 // NewSession creates a measurement session at the given workload scale.

@@ -41,22 +41,27 @@ func (s *Session) effectiveConfig(a abi.ABI) core.Config {
 
 // supervisorFingerprint canonically encodes the session supervision that
 // shapes run outcomes: the chaos schedule, the watchdog budget and the
-// retry bound. An unsupervised session encodes to "".
+// retry bound. An unsupervised session encodes to "". Every run key
+// carries it, so it is computed once, on first use: Chaos, DeadlineUops
+// and Retries are set before the first run.
 func (s *Session) supervisorFingerprint() string {
-	if s.Chaos == nil && s.DeadlineUops == 0 {
-		return ""
-	}
-	var b strings.Builder
-	if c := s.Chaos; c != nil {
-		kinds := make([]string, len(c.Kinds))
-		for i, k := range c.Kinds {
-			kinds[i] = k.String()
+	s.supervisorOnce.Do(func() {
+		if s.Chaos == nil && s.DeadlineUops == 0 {
+			return
 		}
-		sort.Strings(kinds)
-		fmt.Fprintf(&b, "chaos=%d:%g:%d:%s", c.Seed, c.RatePerMUops, c.Quantum, strings.Join(kinds, ","))
-	}
-	fmt.Fprintf(&b, "|deadline=%d|retries=%d", s.DeadlineUops, s.Retries)
-	return b.String()
+		var b strings.Builder
+		if c := s.Chaos; c != nil {
+			kinds := make([]string, len(c.Kinds))
+			for i, k := range c.Kinds {
+				kinds[i] = k.String()
+			}
+			sort.Strings(kinds)
+			fmt.Fprintf(&b, "chaos=%d:%g:%d:%s", c.Seed, c.RatePerMUops, c.Quantum, strings.Join(kinds, ","))
+		}
+		fmt.Fprintf(&b, "|deadline=%d|retries=%d", s.DeadlineUops, s.Retries)
+		s.supervisorFP = b.String()
+	})
+	return s.supervisorFP
 }
 
 // runStoreKey addresses one (workload, ABI) run of this session under its
