@@ -22,7 +22,6 @@ import (
 	"cherisim/internal/core"
 	"cherisim/internal/experiments"
 	"cherisim/internal/tlb"
-	"cherisim/internal/workloads"
 )
 
 var (
@@ -165,20 +164,6 @@ func BenchmarkTLBTranslateHot(b *testing.B) {
 	h := tlb.NewHierarchy(tlb.L1DConfig, tlb.New(tlb.L2Config))
 	for i := 0; i < b.N; i++ {
 		h.Translate(0x4000_0000 + uint64(i%64)*8)
-	}
-}
-
-// BenchmarkSessionCachedRun measures the singleflight session's hit path:
-// the per-request overhead a cached measurement costs a repeat caller.
-func BenchmarkSessionCachedRun(b *testing.B) {
-	s := session()
-	wl := workloads.All()[0]
-	s.Run(wl, abi.Hybrid) // warm the key
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := s.Run(wl, abi.Hybrid); d == nil || d.Err != nil {
-			b.Fatal("cached run failed")
-		}
 	}
 }
 

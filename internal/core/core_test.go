@@ -449,3 +449,31 @@ func TestFootprintLargerUnderPurecap(t *testing.T) {
 		t.Errorf("purecap heap %d not substantially larger than hybrid %d", pc, hy)
 	}
 }
+
+// TestLoadStoreAllocationFree guards the simulated memory path (bounds
+// check, TLB, three cache levels, tag memory) against heap allocation:
+// one 8-byte Store and Load at a 64-byte stride must allocate nothing on
+// any ABI. BenchmarkMachineLoadStore times the same loop.
+func TestLoadStoreAllocationFree(t *testing.T) {
+	for _, a := range abi.All() {
+		m := New(a)
+		m.Func("main", 512, 64)
+		var allocs float64
+		err := m.Run(func(m *Machine) {
+			p := m.Alloc(1 << 20)
+			i := 0
+			allocs = testing.AllocsPerRun(1000, func() {
+				off := Ptr(uint64(i*64) % (1 << 20))
+				m.Store(p+off, uint64(i), 8)
+				m.Load(p+off, 8)
+				i++
+			})
+		})
+		if err != nil {
+			t.Fatalf("abi %v: %v", a, err)
+		}
+		if allocs != 0 {
+			t.Errorf("abi %v: one Store+Load allocates %.2f objects, want 0", a, allocs)
+		}
+	}
+}

@@ -1,13 +1,5 @@
 package report
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-	"strconv"
-)
-
 // ResilienceCell is one (rate, workload, ABI) outcome of a fault-injection
 // sweep: how the run ended, how many attempts the supervisor spent on it,
 // and how many faults were injected into the final attempt.
@@ -60,40 +52,4 @@ func (r *ResilienceReport) Survival(rate float64) (frac float64, n int) {
 		return 0, 0
 	}
 	return float64(ok) / float64(n), n
-}
-
-// WriteJSON streams the report as indented JSON.
-func (r *ResilienceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadResilienceJSON parses a report written by WriteJSON.
-func ReadResilienceJSON(rd io.Reader) (*ResilienceReport, error) {
-	var r ResilienceReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decode resilience: %w", err)
-	}
-	return &r, nil
-}
-
-// WriteCSV emits one row per cell.
-func (r *ResilienceReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rate_per_muops", "workload", "abi", "status", "attempts", "injected"}); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		row := []string{
-			strconv.FormatFloat(c.RatePerMUops, 'g', -1, 64),
-			c.Workload, c.ABI, c.Status,
-			strconv.Itoa(c.Attempts), strconv.Itoa(c.Injected),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,11 +1,6 @@
 package report
 
-import (
-	"bytes"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func sampleResilience() *ResilienceReport {
 	r := NewResilienceReport(7, []string{"tag-clear", "spurious-trap"}, []float64{0, 20})
@@ -18,27 +13,6 @@ func sampleResilience() *ResilienceReport {
 	return r
 }
 
-func TestResilienceJSONRoundTrip(t *testing.T) {
-	r := sampleResilience()
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResilienceJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Fatalf("round trip changed report:\n in: %+v\nout: %+v", r, got)
-	}
-}
-
-func TestResilienceReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadResilienceJSON(strings.NewReader("{")); err == nil {
-		t.Fatal("truncated JSON accepted")
-	}
-}
-
 func TestResilienceSurvival(t *testing.T) {
 	r := sampleResilience()
 	if frac, n := r.Survival(0); n != 2 || frac != 0.5 {
@@ -49,24 +23,5 @@ func TestResilienceSurvival(t *testing.T) {
 	}
 	if _, n := r.Survival(999); n != 0 {
 		t.Fatalf("Survival(999) found %d cells", n)
-	}
-}
-
-func TestResilienceCSVShape(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleResilience().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want header + 4 rows, got %d lines", len(lines))
-	}
-	if lines[0] != "rate_per_muops,workload,abi,status,attempts,injected" {
-		t.Fatalf("bad header: %q", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != 5 {
-			t.Fatalf("bad row: %q", l)
-		}
 	}
 }

@@ -1,13 +1,5 @@
 package report
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-	"strconv"
-)
-
 // ScaleCell is one (topology, cores, ABI) point of the many-core scale
 // experiment: the co-run's aggregate slowdown against its solo baseline
 // plus the fabric's traffic and contention accounting.
@@ -48,50 +40,3 @@ func NewScaleReport(workload string) *ScaleReport {
 
 // Add appends a cell.
 func (r *ScaleReport) Add(c ScaleCell) { r.Cells = append(r.Cells, c) }
-
-// WriteJSON streams the report as indented JSON.
-func (r *ScaleReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadScaleJSON parses a report written by WriteJSON.
-func ReadScaleJSON(rd io.Reader) (*ScaleReport, error) {
-	var r ScaleReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decode scale: %w", err)
-	}
-	return &r, nil
-}
-
-// WriteCSV emits one row per cell.
-func (r *ScaleReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"topology", "cores", "slices", "abi", "epochs",
-		"mean_slowdown", "worst_slowdown", "llc_read_mr", "hops_per_access",
-		"slice_contention", "link_contention", "accesses"}); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		row := []string{
-			c.Topology,
-			strconv.Itoa(c.Cores),
-			strconv.Itoa(c.Slices),
-			c.ABI,
-			strconv.FormatUint(c.Epochs, 10),
-			strconv.FormatFloat(c.MeanSlowdown, 'g', -1, 64),
-			strconv.FormatFloat(c.WorstSlowdown, 'g', -1, 64),
-			strconv.FormatFloat(c.LLCReadMR, 'g', -1, 64),
-			strconv.FormatFloat(c.HopsPerAccess, 'g', -1, 64),
-			strconv.FormatUint(c.SliceContention, 10),
-			strconv.FormatUint(c.LinkContention, 10),
-			strconv.FormatUint(c.Accesses, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

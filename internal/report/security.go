@@ -1,13 +1,5 @@
 package report
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-	"strconv"
-)
-
 // SecurityCell is one (attack, ABI) verdict of the memory-safety attack
 // corpus: the classified outcome, the expected-outcome spec it was checked
 // against, and the canary-witness detail for silently corrupted runs.
@@ -69,42 +61,4 @@ func (r *SecurityReport) SilentCorruptions() int {
 		}
 	}
 	return n
-}
-
-// WriteJSON streams the report as indented JSON.
-func (r *SecurityReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadSecurityJSON parses a report written by WriteJSON.
-func ReadSecurityJSON(rd io.Reader) (*SecurityReport, error) {
-	var r SecurityReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decode security: %w", err)
-	}
-	return &r, nil
-}
-
-// WriteCSV emits one row per cell.
-func (r *SecurityReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"attack", "cwe", "abi", "got", "want", "expected", "uops", "bad_words", "first_bad"}); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		row := []string{
-			c.Attack, c.CWE, c.ABI, c.Got, c.Want,
-			strconv.FormatBool(c.Expected),
-			strconv.FormatUint(c.Uops, 10),
-			strconv.FormatUint(c.BadWords, 10),
-			strconv.FormatUint(c.FirstBad, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,11 +1,6 @@
 package report
 
-import (
-	"bytes"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func sampleSecurity() *SecurityReport {
 	r := NewSecurityReport()
@@ -26,49 +21,12 @@ func sampleSecurity() *SecurityReport {
 	return r
 }
 
-func TestSecurityJSONRoundTrip(t *testing.T) {
+func TestSecurityCounts(t *testing.T) {
 	r := sampleSecurity()
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	if r.Diverged() != 1 {
+		t.Fatalf("Diverged = %d, want 1", r.Diverged())
 	}
-	got, err := ReadSecurityJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, got) {
-		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", r, got)
-	}
-	if got.Diverged() != 1 {
-		t.Fatalf("Diverged = %d, want 1", got.Diverged())
-	}
-	if got.SilentCorruptions() != 1 {
-		t.Fatalf("SilentCorruptions = %d, want 1", got.SilentCorruptions())
-	}
-}
-
-func TestSecurityCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleSecurity().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("CSV has %d lines, want header + 3 cells:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "attack,cwe,abi,got,want,expected,uops,bad_words,first_bad" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "uaf,CWE-416,hybrid,corrupted,corrupted,true,12345,2,16" {
-		t.Fatalf("corrupted row = %q", lines[1])
-	}
-	if !strings.Contains(lines[3], "false") {
-		t.Fatalf("diverged row lost its flag: %q", lines[3])
-	}
-}
-
-func TestReadSecurityJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadSecurityJSON(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
+	if r.SilentCorruptions() != 1 {
+		t.Fatalf("SilentCorruptions = %d, want 1", r.SilentCorruptions())
 	}
 }
